@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -231,7 +230,7 @@ def _cmd_exact(args) -> tuple[dict, list[str]]:
         "witness_path": None if result.path is None else _node_names(graph, result.path),
         "exhausted": result.exhausted,
         "paths_evaluated": result.paths_evaluated,
-        "threads": args.threads,
+        "expansions": result.expansions,
     }
     lines = []
     if result.value is None:
@@ -358,6 +357,7 @@ def _cmd_compare(args) -> tuple[dict, list[str]]:
         "bound": format_rational(bound),
         "ratio_within_bound": ok,
         "exhausted": inf_result.exhausted,
+        "expansions": inf_result.expansions,
     }
     lines = [
         f"penalty schemes, infimum reward:   {format_rational(penalty)}",
@@ -414,10 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("exact", _cmd_exact, "exact infimum over penalty schemes")
     sp.add_argument("file")
     sp.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("PENALTY_PLANNER_THREADS", "1")),
-                    help="accepted for compatibility; the search is "
-                         "deterministic and results never depend on it")
 
     sp = add("reduce3sat", _cmd_reduce3sat, "3-SAT formula to task graph")
     sp.add_argument("cnf", help="DIMACS CNF file")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -131,17 +132,16 @@ class InfimumResult:
     `value` is the infimum of rewards admitting a motivating penalty scheme
     (it may not be attained by any single scheme); `path` is a witness whose
     fences approach it. When the path budget is hit, `exhausted` is set and
-    the incumbent so far is returned.
+    the incumbent so far is returned. `expansions` counts the partial paths
+    (suffixes ending at the target, the bare target included) that were
+    fenced and had their in-edges scanned.
     """
 
     value: Fraction | None
     path: tuple[int, ...] | None
     exhausted: bool
     paths_evaluated: int
-
-
-class _SearchStop(Exception):
-    pass
+    expansions: int
 
 
 def exact_infimum(graph: TaskGraph,
@@ -151,125 +151,125 @@ def exact_infimum(graph: TaskGraph,
 
     Every scheme can be replaced by a fence along the agent's path at an
     arbitrarily small premium, so the infimum equals the minimum of
-    `fence_required_reward` over all source-to-target paths. The search
-    enumerates paths backwards from the target, growing the fence
-    incrementally (suffix extras are final once placed), and prunes with
-    two sound bounds: the exact suffix maximum and a bottleneck bound on
-    any prefix under the unmodified perceived costs.
+    `fence_required_reward` over all source-to-target paths. A depth-first
+    branch-and-bound on an explicit stack grows paths backwards from the
+    target (in-edges by tail id, strict improvement only), fencing each new
+    node in place: only its ancestors' distances change, and an undo log
+    restores them on backtrack. It prunes with two sound bounds: the exact
+    suffix maximum, and the bottleneck over source-to-tail prefixes under
+    the current suffix-fenced distances (extras only raise distances).
     """
     b = check_bias(beta)
     if path_budget < 1:
         raise ValueError("path budget must be at least 1")
     if graph.source == graph.target:
-        return InfimumResult(ZERO, (graph.source,), False, 0)
+        return InfimumResult(ZERO, (graph.source,), False, 0, 0)
 
-    n = graph.n
-    source, target = graph.source, graph.target
+    n, source, target = graph.n, graph.source, graph.target
     p, q = b.numerator, b.denominator
-    scale = 1
-    for e in graph.edges:
-        scale = lcm(scale, e.cost.denominator)
-    cost_num = [int(e.cost * scale) for e in graph.edges]
     heads = [e.head for e in graph.edges]
     tails = [e.tail for e in graph.edges]
-    out_idx = [list(graph.out_indices(v)) for v in range(n)]
-    in_idx = [sorted(graph.in_indices(v), key=lambda i: tails[i]) for v in range(n)]
-    rtopo = list(reversed(graph.topological_order()))
-
-    # prefix bottleneck bound under the unmodified perceived costs
+    out_idx = [graph.out_indices(v) for v in range(n)]
+    order = graph.topological_order()
+    depth = [-1] * n  # edges on a longest path from the source; -1: unreachable
+    depth[source] = 0
+    for u in order:
+        for i in out_idx[u] if depth[u] >= 0 else ():
+            depth[heads[i]] = max(depth[heads[i]], depth[u] + 1)
+    # only nodes reachable from the source take part: in topological order,
+    # and with the in-edges from them, sorted by tail
+    topo = [v for v in order if depth[v] >= 0]
+    pos = {v: k for k, v in enumerate(topo)}
+    in_idx = [sorted((i for i in graph.in_indices(v) if depth[tails[i]] >= 0),
+                     key=tails.__getitem__) for v in range(n)]
+    # with scale the costs' common denominator, a fence k edges before the
+    # target has denominator scale*q^k; in the unit scale*q^L (L edges on a
+    # longest path) every extra and distance is an integer, and so is every
+    # perceived cost q*cost + p*dist in unit/q
+    unit = lcm(*(e.cost.denominator for e in graph.edges)) * q ** max(depth[target], 0)
+    cost = [int(e.cost * unit) for e in graph.edges]
+    qcost = [q * c for c in cost]
     d0 = cheapest_costs(graph)
-    eta0 = [graph.edges[i].cost + b * d0[heads[i]] for i in range(len(graph.edges))]
-    bottleneck: list[Fraction | None] = [None] * n
-    bottleneck[source] = ZERO
-    for v in graph.topological_order():
-        bv = bottleneck[v]
-        if bv is None:
-            continue
-        for i in out_idx[v]:
-            cand = bv if bv > eta0[i] else eta0[i]
-            w = heads[i]
-            if bottleneck[w] is None or cand < bottleneck[w]:
-                bottleneck[w] = cand
+    dist = [int(d0[v] * unit) for v in range(n)]
+    extra = [0] * len(graph.edges)
 
-    # base distances, scaled by `scale`
-    d_base = [0] * n
-    for u in rtopo:
-        if u == target:
-            continue
-        d_base[u] = min(cost_num[i] + d_base[heads[i]] for i in out_idx[u])
-
-    best_eta: Fraction | None = None  # incumbent, in perceived-cost units
+    best: int | None = None  # incumbent perceived cost, in unit/q
     best_path: tuple[int, ...] | None = None
-    evaluated = 0
-    exhausted = False
-    suffix: list[int] = [target]
-    on_suffix = [False] * n
-    on_suffix[target] = True
-
-    def recurse(head: int, d_num: list[int], extras: dict[int, int],
-                eta_max: int, mult: int) -> None:
-        nonlocal best_eta, best_path, evaluated, exhausted
-        mult_next = mult * q
-        denom_next = scale * mult_next
-        for eidx in in_idx[head]:
-            v = tails[eidx]
-            if on_suffix[v]:
-                continue
-            bneck = bottleneck[v]
-            if bneck is None:  # v not reachable from the source at all
-                continue
-            eta_on = cost_num[eidx] * mult_next + p * d_num[head]
-            new_max = eta_max * q
-            if eta_on > new_max:
-                new_max = eta_on
-            cand = Fraction(new_max, denom_next)
-            if best_eta is not None:
-                bound = cand if bneck < cand else bneck
-                if bound >= best_eta:
-                    continue
-            if v == source:
-                if evaluated >= path_budget:
-                    exhausted = True
-                    raise _SearchStop
-                evaluated += 1
-                if best_eta is None or cand < best_eta:
-                    best_eta = cand
-                    best_path = (v, *reversed(suffix))
-                continue
-            new_extras = {i: x * q for i, x in extras.items()}
-            for oe in out_idx[v]:
-                if oe == eidx:
-                    continue
-                bump = eta_on - (cost_num[oe] * mult_next + p * d_num[heads[oe]])
-                if bump > 0:
-                    new_extras[oe] = bump
-            new_d = [0] * n
-            for u in rtopo:
-                if u == target:
-                    continue
-                new_d[u] = min(cost_num[i] * mult_next + new_extras.get(i, 0) + new_d[heads[i]]
-                               for i in out_idx[u])
-            suffix.append(v)
-            on_suffix[v] = True
-            recurse(v, new_d, new_extras, new_max, mult_next)
+    evaluated, expansions, exhausted = 0, 1, False
+    log: list[tuple[int, int]] = []  # (node, distance before an update)
+    bneck = [0] * n  # scratch: prefix bottleneck per node
+    suffix = [target]
+    # frame: head, next in-edge, suffix maximum, log length on entry, and the
+    # prefix bounds of the in-edges' tails (computed once an incumbent exists)
+    stack: list[list] = [[target, 0, 0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        head, k, eta_max, mark, bounds = frame
+        ins = in_idx[head]
+        if k == len(ins):  # backtrack: unfence the head
+            stack.pop()
             suffix.pop()
-            on_suffix[v] = False
+            for i in out_idx[head]:
+                extra[i] = 0
+            for u, old in reversed(log[mark:]):
+                dist[u] = old
+            del log[mark:]
+            continue
+        frame[1] = k + 1
+        eidx = ins[k]
+        v = tails[eidx]
+        eta_on = qcost[eidx] + p * dist[head]
+        cand = eta_on if eta_on > eta_max else eta_max
+        if best is not None:
+            if cand >= best:
+                continue
+            if bounds is None:
+                # prefixes end before the head in topological order, so
+                # they avoid the suffix; every edge into u shares dist[u]
+                for u in topo[1:max(pos[tails[i]] for i in ins) + 1]:
+                    pd, low = p * dist[u], None
+                    for i in in_idx[u]:
+                        eta = qcost[i] + pd
+                        if eta < bneck[tails[i]]:
+                            eta = bneck[tails[i]]
+                        if low is None or eta < low:
+                            low = eta
+                    bneck[u] = low
+                bounds = frame[4] = [bneck[tails[i]] for i in ins]
+            if bounds[k] >= best:
+                continue
+        if v == source:
+            if evaluated >= path_budget:
+                exhausted = True
+                break
+            evaluated += 1
+            if best is None or cand < best:
+                best, best_path = cand, (v, *reversed(suffix))
+            continue
+        # fence v, then re-evaluate v and the ancestors whose out-neighbour
+        # distances changed, in reverse topological order
+        for i in out_idx[v]:  # the on-path edge itself gets a bump of 0
+            bump = eta_on - qcost[i] - p * dist[heads[i]]
+            if bump > 0:
+                extra[i] = bump // q
+        heap, queued, mark = [-pos[v]], {v}, len(log)
+        while heap:
+            u = topo[-heappop(heap)]
+            du = min(cost[i] + extra[i] + dist[heads[i]] for i in out_idx[u])
+            if du != dist[u]:
+                log.append((u, dist[u]))
+                dist[u] = du
+                for i in in_idx[u]:
+                    if tails[i] not in queued:
+                        queued.add(tails[i])
+                        heappush(heap, -pos[tails[i]])
+        suffix.append(v)
+        stack.append([v, 0, cand, mark, None])
+        expansions += 1
 
-    # recursion depth tracks path length, which can reach the node count
-    import sys
-    limit = sys.getrecursionlimit()
-    if limit < n + 120:
-        sys.setrecursionlimit(n + 120)
-    try:
-        recurse(target, d_base, {}, 0, 1)
-    except _SearchStop:
-        pass
-    finally:
-        sys.setrecursionlimit(limit)
-
-    value = None if best_eta is None else best_eta / b
-    return InfimumResult(value=value, path=best_path,
-                         exhausted=exhausted, paths_evaluated=evaluated)
+    value = None if best is None else Fraction(best, unit * p)
+    return InfimumResult(value=value, path=best_path, exhausted=exhausted,
+                         paths_evaluated=evaluated, expansions=expansions)
 
 
 def minmax_path(graph: TaskGraph, beta: RationalLike) -> tuple[tuple[int, ...], Fraction]:

@@ -132,20 +132,21 @@ def gen_random(n: int,
         return Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
 
     present: set[tuple[int, int]] = set()
+    succ: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int, RationalLike]] = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < dens:
                 present.add((i, j))
+                succ[i].append(j)
                 edges.append((i, j, rand_cost()))
 
     # guarantee source-to-target connectivity via the chain spine
     reach = {0}
     frontier = [0]
     while frontier:
-        v = frontier.pop()
-        for (a, c) in present:
-            if a == v and c not in reach:
+        for c in succ[frontier.pop()]:
+            if c not in reach:
                 reach.add(c)
                 frontier.append(c)
     if n - 1 not in reach:

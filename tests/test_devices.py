@@ -1,6 +1,7 @@
 """Commitment devices: fences, exact search, approximation, subgraph tools."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -150,12 +151,23 @@ def test_exact_infimum_noopt():
         assert result.value == 1 / beta
         assert result.path == (0, 1, 2, 3, 4, 6)
         assert not result.exhausted
+        assert result.expansions == 5  # t, v4, v3, v2, v1; the branch is pruned
 
 
 def test_exact_infimum_alice():
     result = exact_infimum(alice(), F(1, 3))
     assert result.value == 6
     assert result.path == ALICE_CHAIN
+
+
+def test_exact_infimum_chain_longer_than_recursion_limit():
+    limit = sys.getrecursionlimit()
+    inst = gen_alice(1200)
+    assert inst.graph.n > limit
+    result = exact_infimum(inst.graph, inst.beta)
+    assert result.value == 6
+    assert result.path == tuple(range(1201))
+    assert sys.getrecursionlimit() == limit
 
 
 def test_exact_infimum_single_path_graph():
@@ -165,10 +177,12 @@ def test_exact_infimum_single_path_graph():
     assert result.paths_evaluated == 1
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(120))
 def test_exact_infimum_matches_enumeration_oracle(seed):
     beta = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)][seed % 6]
-    g = gen_random(2 + seed % 9, 0.55, beta, seed=800 + seed).graph
+    # seeds from 60 on draw costs in {0, 1}: many ties between paths
+    costs = {"max_numerator": 1, "max_denominator": 1} if seed >= 60 else {}
+    g = gen_random(2 + seed % 9, 0.55, beta, seed=800 + seed, **costs).graph
     value, _ = brute_infimum(g, beta)
     result = exact_infimum(g, beta)
     assert result.value == value

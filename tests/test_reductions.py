@@ -1,5 +1,6 @@
 """3-SAT reduction: structure, margins, translations, small-scale decisions."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -233,6 +234,17 @@ def test_unsatisfiable_formula_has_infimum_above_critical_reward():
     unsat = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
     meta = sat_to_mcc(unsat, BETA)
     assert exact_infimum(meta.graph, BETA).value > 5
+
+
+def test_satisfiable_8_vars_24_clauses_solves_to_critical_reward():
+    rng = random.Random(0)
+    clauses = tuple(tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, 9), 3)) for _ in range(24))
+    formula = CnfFormula(8, clauses)
+    assert next(formula.satisfying_assignments(), None) is not None
+    result = exact_infimum(sat_to_mcc(formula, BETA).graph, BETA)
+    assert not result.exhausted
+    assert result.value == 1 / BETA
 
 
 def test_gap_instance_decisions():
