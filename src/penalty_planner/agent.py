@@ -18,10 +18,11 @@ from .graph import (
     RationalLike,
     TaskGraph,
     ZERO,
-    _coerce_config,
+    _edge_costs,
     as_rational,
     check_bias,
-    cheapest_costs,
+    choice,
+    distances,
 )
 
 DEFAULT_WALK_CAP = 64
@@ -62,30 +63,21 @@ def build_view(graph: TaskGraph,
                beta: RationalLike) -> AgentView:
     """Populate d, eta, zeta and the argmin relation, all exactly."""
     b = check_bias(beta)
-    cfg = _coerce_config(config)
-    d = cheapest_costs(graph, cfg)
+    cfg, cost = _edge_costs(graph, config)
+    d = distances(graph, cost)
+    pairs = graph.edge_pairs()
     eta: dict[tuple[int, int], Fraction] = {}
     zeta: dict[int, Fraction] = {}
     argmin: dict[int, frozenset[tuple[int, int]]] = {}
     for v in range(graph.n):
         if v == graph.target:
             continue
-        best: Fraction | None = None
-        ties: list[tuple[int, int]] = []
-        for e in graph.out_edges(v):
-            val = e.cost + cfg.get(e.tail, e.head) + b * d[e.head]
-            eta[(e.tail, e.head)] = val
-            if best is None or val < best:
-                best = val
-                ties = [(e.tail, e.head)]
-            elif val == best:
-                ties.append((e.tail, e.head))
-        # preprocessed graphs guarantee an outgoing edge at every non-target node
-        assert best is not None, "non-target node without outgoing edges"
-        zeta[v] = best
-        argmin[v] = frozenset(ties)
-    return AgentView(graph=graph, config=cfg, beta=b, d=d, eta=eta,
-                     zeta=zeta, argmin=argmin)
+        etas, zeta[v], ties = choice(graph, cost, d, b, v)
+        eta.update(zip([pairs[i] for i in graph.out_indices(v)], etas))
+        argmin[v] = frozenset([pairs[i] for i in ties])
+    return AgentView(graph=graph, config=cfg, beta=b,
+                     d={v: d[v] for v in reversed(graph.topological_order())},
+                     eta=eta, zeta=zeta, argmin=argmin)
 
 
 def reachable_by_ties(view: AgentView) -> frozenset[int]:

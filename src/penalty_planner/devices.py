@@ -27,13 +27,15 @@ from .errors import (
     UnknownEdgeError,
 )
 from .graph import (
+    ONE,
     CostConfiguration,
     RationalLike,
     TaskGraph,
     ZERO,
     as_rational,
     check_bias,
-    cheapest_costs,
+    choice,
+    distances,
 )
 
 DEFAULT_PATH_BUDGET = 100_000
@@ -70,20 +72,19 @@ def _fence_on_path(graph: TaskGraph, beta: Fraction, path: tuple[int, ...],
     once per node is sound. Returns the extras and the on-path perceived
     costs, which are final.
     """
+    cost = [e.cost for e in graph.edges]  # base cost plus extra, updated in place
     extra: dict[tuple[int, int], Fraction] = {}
     on_path_eta: list[Fraction] = [ZERO] * (len(path) - 1)
-    for i in range(len(path) - 2, -1, -1):
-        v, nxt = path[i], path[i + 1]
-        d = cheapest_costs(graph, extra)
-        eta_on = graph.cost(v, nxt) + beta * d[nxt]
-        on_path_eta[i] = eta_on
-        for e in graph.out_edges(v):
-            if e.head == nxt:
-                continue
-            eta_off = e.cost + beta * d[e.head]
+    for k in range(len(path) - 2, -1, -1):
+        v, nxt = path[k], path[k + 1]
+        out = graph.out_indices(v)
+        etas, _, _ = choice(graph, cost, distances(graph, cost), beta, v)
+        eta_on = on_path_eta[k] = etas[out.index(graph.edge_index(v, nxt))]
+        for i, eta_off in zip(out, etas):
             bump = eta_on - eta_off + margin
-            if bump > 0:
-                extra[(e.tail, e.head)] = bump
+            if graph.edges[i].head != nxt and bump > 0:
+                cost[i] += bump
+                extra[(v, graph.edges[i].head)] = bump
     return extra, on_path_eta
 
 
@@ -189,8 +190,7 @@ def exact_infimum(graph: TaskGraph,
     unit = lcm(*(e.cost.denominator for e in graph.edges)) * q ** max(depth[target], 0)
     cost = [int(e.cost * unit) for e in graph.edges]
     qcost = [q * c for c in cost]
-    d0 = cheapest_costs(graph)
-    dist = [int(d0[v] * unit) for v in range(n)]
+    dist = distances(graph, cost)
     extra = [0] * len(graph.edges)
 
     best: int | None = None  # incumbent perceived cost, in unit/q
@@ -246,8 +246,8 @@ def exact_infimum(graph: TaskGraph,
             if best is None or cand < best:
                 best, best_path = cand, (v, *reversed(suffix))
             continue
-        # fence v, then re-evaluate v and the ancestors whose out-neighbour
-        # distances changed, in reverse topological order
+        # fence v, then re-evaluate v and the ancestors whose out-neighbour distances
+        # changed, in reverse topological order: in place, as a full sweep costs O(n+m)
         for i in out_idx[v]:  # the on-path edge itself gets a bump of 0
             bump = eta_on - qcost[i] - p * dist[heads[i]]
             if bump > 0:
@@ -277,39 +277,45 @@ def minmax_path(graph: TaskGraph, beta: RationalLike) -> tuple[tuple[int, ...], 
 
     Edges are inserted in non-decreasing order of unmodified perceived cost
     (ties by edge index) until the target becomes reachable; any path inside
-    the inserted set is a minmax path. Deterministic.
+    the inserted set is a minmax path. One bottleneck pass finds the last
+    edge inserted, and one breadth-first search the path. Deterministic.
     """
     b = check_bias(beta)
     if graph.source == graph.target:
         return (graph.source,), ZERO
-    d0 = cheapest_costs(graph)
-    eta0 = [e.cost + b * d0[e.head] for e in graph.edges]
-    order = sorted(range(len(graph.edges)), key=lambda i: (eta0[i], i))
+    edges, base = graph.edges, [e.cost for e in graph.edges]
+    d0 = distances(graph, base)
+    eta0: list = [None] * len(edges)
+    for v in range(graph.n):
+        if v != graph.target:
+            for i, eta in zip(graph.out_indices(v), choice(graph, base, d0, b, v)[0]):
+                eta0[i] = eta
+    order = sorted(range(len(edges)), key=lambda i: (eta0[i], i))
+    rank = {i: r for r, i in enumerate(order)}
+    reach = [len(edges)] * graph.n  # least rank by which a node is reachable
+    reach[graph.source] = -1
+    for v in graph.topological_order():
+        for i in graph.out_indices(v):
+            h = edges[i].head
+            reach[h] = min(reach[h], max(reach[v], rank[i]))
     adj: list[list[int]] = [[] for _ in range(graph.n)]
-    for eidx in order:
-        e = graph.edges[eidx]
-        adj[e.tail].append(e.head)
-        # breadth-first search over the inserted edges
-        parent: dict[int, int] = {graph.source: -1}
-        queue = [graph.source]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            if v == graph.target:
-                break
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        if graph.target in parent:
-            nodes = [graph.target]
-            while parent[nodes[-1]] != -1:
-                nodes.append(parent[nodes[-1]])
-            path = tuple(reversed(nodes))
-            rho = max(eta0[graph.edge_index(u, v)] for u, v in zip(path, path[1:]))
-            return path, rho
-    raise DisconnectedError("target unreachable from source")
+    for i in order[:reach[graph.target] + 1]:
+        adj[edges[i].tail].append(edges[i].head)
+    parent: dict[int, int] = {graph.source: -1}
+    queue = [graph.source]
+    for v in queue:
+        if v == graph.target:
+            break
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    nodes = [graph.target]
+    while parent[nodes[-1]] != -1:
+        nodes.append(parent[nodes[-1]])
+    path = tuple(reversed(nodes))
+    rho = max(eta0[graph.edge_index(u, v)] for u, v in zip(path, path[1:]))
+    return path, rho
 
 
 def successor_map(graph: TaskGraph) -> dict[int, int]:
@@ -318,14 +324,10 @@ def successor_map(graph: TaskGraph) -> dict[int, int]:
     Following the map from any node spells out a cheapest path to the
     target with respect to the base costs.
     """
-    d0 = cheapest_costs(graph)
-    sig: dict[int, int] = {}
-    for v in range(graph.n):
-        if v == graph.target:
-            continue
-        sig[v] = min(e.head for e in graph.out_edges(v)
-                     if e.cost + d0[e.head] == d0[v])
-    return sig
+    base = [e.cost for e in graph.edges]
+    d0 = distances(graph, base)
+    return {v: min(graph.edges[i].head for i in choice(graph, base, d0, ONE, v)[2])
+            for v in range(graph.n) if v != graph.target}
 
 
 @dataclass(frozen=True)
@@ -460,6 +462,7 @@ def brute_subgraph_opt(graph: TaskGraph,
     best_num: int | None = None
     best_mask = 0
     for mask in range(1 << m):
+        # masked copies of `distances` and `choice`, 2x faster than the kernel;
         # distances to target over kept edges; None marks dead ends, which
         # the implicit preprocessing removes along with edges into them
         d: list[int | None] = [None] * n

@@ -274,8 +274,7 @@ class CostConfiguration:
     def check_for(self, graph: TaskGraph) -> None:
         """Raise UnknownEdgeError if any keyed edge is not in the graph."""
         for (tail, head) in self._extra:
-            if not (0 <= tail < graph.n and 0 <= head < graph.n
-                    and graph.has_edge(tail, head)):
+            if not graph.has_edge(tail, head):  # also false for ids out of range
                 raise UnknownEdgeError(f"configuration references missing edge ({tail}, {head})")
 
     def __eq__(self, other) -> bool:
@@ -299,12 +298,13 @@ class CostConfiguration:
 _ZERO_CONFIG = CostConfiguration()
 
 
-def _coerce_config(config: CostConfiguration | Mapping | None) -> CostConfiguration:
-    if config is None:
-        return _ZERO_CONFIG
-    if isinstance(config, CostConfiguration):
-        return config
-    return CostConfiguration(config)
+def _edge_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
+                ) -> tuple[CostConfiguration, list[Fraction]]:
+    """The configuration, checked against the graph, and each edge's base
+    cost plus extra."""
+    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
+    cfg.check_for(graph)
+    return cfg, [e.cost + cfg.get(e.tail, e.head) for e in graph.edges]
 
 
 # -- operations -------------------------------------------------------------
@@ -359,34 +359,54 @@ def preprocess(graph: TaskGraph) -> TaskGraph:
     return TaskGraph(len(keep), edges, remap[graph.source], remap[graph.target], labels)
 
 
+def distances(graph: TaskGraph, cost: Sequence) -> list:
+    """Cheapest cost to the target from every node, by node id: a single
+    reverse-topological sweep, in which every node must reach the target.
+
+    `cost` holds one exact number per edge index (base cost plus extra):
+    Fractions, or integers in a common unit; the result has the same type.
+    """
+    edges = graph.edges
+    d: list = [None] * graph.n
+    d[graph.target] = cost[0] * 0 if cost else ZERO  # zero of the callers' type
+    for v in reversed(graph.topological_order()):
+        if v == graph.target:
+            continue
+        out = graph.out_indices(v)
+        if not out:
+            raise NoPathError(
+                f"node {graph.describe_node(v)} has no path to the target; "
+                "run preprocess() first")
+        d[v] = min([cost[i] + d[edges[i].head] for i in out])
+    return d
+
+
+def choice(graph: TaskGraph, cost: Sequence, d: Sequence, beta, node: int
+           ) -> tuple[list, object, list[int]]:
+    """The agent's choice at a non-target node.
+
+    Returns the perceived cost `cost[i] + beta*d[head]` of every out-edge
+    (in `out_indices` order), their minimum, and the indices of all edges
+    attaining it. Exact for any number type: for beta = p/q, callers in
+    scaled integers pass (q*cost, p) and get the same order and ties.
+    """
+    edges = graph.edges
+    out = graph.out_indices(node)
+    etas = [cost[i] + beta * d[edges[i].head] for i in out]
+    low = min(etas)
+    return etas, low, [i for i, eta in zip(out, etas) if eta == low]
+
+
 def cheapest_costs(graph: TaskGraph,
                    config: CostConfiguration | Mapping | None = None) -> dict[int, Fraction]:
     """Exact cost of a cheapest path to the target from every node.
 
-    Edge costs are base cost plus configured extra. Computed by a single
-    reverse-topological sweep; requires a preprocessed graph (every node
-    must reach the target).
+    Edge costs are base cost plus configured extra, and the configuration
+    may name only edges of the graph. Requires a preprocessed graph (every
+    node must reach the target).
     """
-    cfg = _coerce_config(config)
-    d: dict[int, Fraction] = {}
-    for v in reversed(graph.topological_order()):
-        if v == graph.target:
-            d[v] = ZERO
-            continue
-        best: Fraction | None = None
-        for idx in graph.out_indices(v):
-            e = graph.edges[idx]
-            if e.head not in d:
-                continue
-            candidate = e.cost + cfg.get(e.tail, e.head) + d[e.head]
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
-            raise NoPathError(
-                f"node {graph.describe_node(v)} has no path to the target; "
-                "run preprocess() first")
-        d[v] = best
-    return d
+    d = distances(graph, _edge_costs(graph, config)[1])
+    return {v: d[v] for v in reversed(graph.topological_order())}
 
 
 def perceived_cost(graph: TaskGraph,
@@ -395,11 +415,11 @@ def perceived_cost(graph: TaskGraph,
                    edge: tuple[int, int]) -> Fraction:
     """Immediate edge cost (with extra) plus discounted remaining cost."""
     b = check_bias(beta)
-    cfg = _coerce_config(config)
+    _, cost = _edge_costs(graph, config)
     tail, head = edge
-    e = graph.edges[graph.edge_index(tail, head)]
-    d = cheapest_costs(graph, cfg)
-    return e.cost + cfg.get(tail, head) + b * d[head]
+    idx = graph.edge_index(tail, head)
+    etas, _, _ = choice(graph, cost, distances(graph, cost), b, tail)
+    return etas[graph.out_indices(tail).index(idx)]
 
 
 def lowest_perceived(graph: TaskGraph,
@@ -414,18 +434,6 @@ def lowest_perceived(graph: TaskGraph,
     if node == graph.target:
         raise TargetHasNoChoiceError("the target node has no outgoing choice")
     b = check_bias(beta)
-    cfg = _coerce_config(config)
-    d = cheapest_costs(graph, cfg)
-    best: Fraction | None = None
-    argmin: list[tuple[int, int]] = []
-    for idx in graph.out_indices(node):
-        e = graph.edges[idx]
-        val = e.cost + cfg.get(e.tail, e.head) + b * d[e.head]
-        if best is None or val < best:
-            best = val
-            argmin = [(e.tail, e.head)]
-        elif val == best:
-            argmin.append((e.tail, e.head))
-    if best is None:
-        raise NoPathError(f"node {graph.describe_node(node)} has no outgoing edge")
-    return best, frozenset(argmin)
+    _, cost = _edge_costs(graph, config)
+    _, low, ties = choice(graph, cost, distances(graph, cost), b, node)
+    return low, frozenset((graph.edges[i].tail, graph.edges[i].head) for i in ties)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .agent import build_view, reachable_by_ties, tie_walk
+from .agent import is_motivating
 from .errors import (
     CnfError,
     EpsilonTooLargeError,
@@ -321,15 +321,12 @@ def config_to_assignment(meta: ReductionMeta,
     of each pair it visits. Whenever the scheme is motivating at that
     reward, the returned assignment satisfies the formula.
     """
-    view = build_view(meta.graph, config, meta.beta)
-    threshold = meta.beta * meta.extraction_reward
-    reachable = reachable_by_ties(view)
-    abandoners = sorted(v for v in reachable
-                        if v != meta.graph.target and view.zeta[v] > threshold)
-    if abandoners:
-        names = ", ".join(meta.graph.describe_node(v) for v in abandoners)
+    report = is_motivating(meta.graph, config, meta.beta, meta.extraction_reward,
+                           walk_cap=1)
+    if report.abandon_nodes:
+        names = ", ".join(meta.graph.describe_node(v) for v in sorted(report.abandon_nodes))
         raise NoWalkError(f"agent can abandon at: {names}")
-    walk = tie_walk(view)
+    walk = report.walks[0]  # the tie walk that takes the lowest head id
     node_to_var: dict[int, tuple[int, bool]] = {
         node: key for key, node in meta.variable_nodes.items()}
     tau: dict[int, bool] = {}

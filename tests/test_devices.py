@@ -201,6 +201,12 @@ def test_exact_infimum_budget_flag():
     assert not full.exhausted
     with pytest.raises(ValueError):
         exact_infimum(g, F(1, 2), path_budget=0)
+    # here the budget runs out: the first path scored is not the optimum
+    g = gen_random(9, 0.6, F(1, 2), max_numerator=1, max_denominator=1, seed=3).graph
+    cut = exact_infimum(g, F(1, 2), path_budget=1)
+    assert cut.exhausted and cut.paths_evaluated == 1
+    assert cut.value == 2 and exact_infimum(g, F(1, 2)).value == 0
+    assert fence_required_reward(g, F(1, 2), cut.path) == cut.value
 
 
 @pytest.mark.parametrize("seed", range(20))

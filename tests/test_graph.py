@@ -21,12 +21,16 @@ from penalty_planner import (
     gen_alice,
     gen_noopt,
     gen_random,
+    is_motivating,
     lowest_perceived,
+    min_motivating_reward,
+    minmax_path,
     perceived_cost,
     preprocess,
+    successor_map,
     validate,
 )
-from oracles import brute_cheapest, random_config
+from oracles import all_paths, brute_cheapest, random_config
 
 
 def test_as_rational_accepts_exact_forms():
@@ -146,15 +150,50 @@ def test_cheapest_costs_respects_extras():
     assert cheapest_costs(g)[0] == 3
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", range(50))
 def test_cheapest_costs_matches_path_enumeration(seed):
-    inst = gen_random(2 + seed % 9, 0.5, F(1, 2), seed=seed)
+    # seeds 25-49 draw {0,1} costs and extras, which make ties common
+    ties = {"max_numerator": 1, "max_denominator": 1} if seed >= 25 else {}
+    inst = gen_random(2 + seed % 9, 0.5, F(1, 2), seed=seed, **ties)
     g = inst.graph
     rng = random.Random(seed)
-    cfg = random_config(g, rng)
+    cfg = random_config(g, rng, max_num=1, max_den=1) if ties else random_config(g, rng)
     d = cheapest_costs(g, cfg)
     for v in range(g.n):
         assert d[v] == (0 if v == g.target else brute_cheapest(g, cfg, v))
+    beta = [F(1, 5), F(1, 2), F(2, 3), F(1)][seed % 4]
+    base = {v: brute_cheapest(g, None, v) for v in range(g.n)}
+    eta0 = {(e.tail, e.head): e.cost + beta * base[e.head] for e in g.edges}
+    sig = successor_map(g)
+    for v in range(g.n):
+        if v == g.target:
+            continue
+        eta = {(e.tail, e.head): e.cost + cfg.get(e.tail, e.head)
+               + beta * brute_cheapest(g, cfg, e.head) for e in g.out_edges(v)}
+        low = min(eta.values())
+        assert lowest_perceived(g, cfg, beta, v) == (
+            low, frozenset(k for k, x in eta.items() if x == low))
+        assert sig[v] == min(e.head for e in g.out_edges(v)
+                             if e.cost + base[e.head] == base[v])
+    path, rho = minmax_path(g, beta)
+    assert rho == max(eta0[pair] for pair in zip(path, path[1:]))
+    assert rho == min(max(eta0[pair] for pair in zip(p, p[1:])) for p in all_paths(g))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, cfg: cheapest_costs(g, cfg),
+    lambda g, cfg: perceived_cost(g, cfg, F(1, 3), (0, 1)),
+    lambda g, cfg: lowest_perceived(g, cfg, F(1, 3), 0),
+    lambda g, cfg: build_view(g, cfg, F(1, 3)),
+    lambda g, cfg: is_motivating(g, cfg, F(1, 3), 6),
+    lambda g, cfg: min_motivating_reward(g, cfg, F(1, 3)),
+], ids=["cheapest_costs", "perceived_cost", "lowest_perceived", "build_view",
+        "is_motivating", "min_motivating_reward"])
+def test_configuration_naming_a_missing_edge_is_rejected(call):
+    g = gen_alice(5).graph
+    for extra in ({(3, 0): 1}, CostConfiguration({(0, 1): 1, (3, 0): 1}), {(0, 99): 1}):
+        with pytest.raises(UnknownEdgeError):
+            call(g, extra)
 
 
 def test_perceived_cost_alice_examples():
