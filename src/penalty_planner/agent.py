@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .graph import (
@@ -112,29 +113,6 @@ def tie_walk(view: AgentView) -> tuple[int, ...]:
     return tuple(walk)
 
 
-def _enumerate_walks(view: AgentView, threshold: Fraction,
-                     cap: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Tie walks from the source; each ends at the target or at the first
-    node whose lowest perceived cost exceeds the threshold."""
-    graph = view.graph
-    walks: list[tuple[int, ...]] = []
-    truncated = False
-    stack: list[tuple[int, ...]] = [(graph.source,)]
-    while stack:
-        prefix = stack.pop()
-        v = prefix[-1]
-        if v == graph.target or view.zeta[v] > threshold:
-            if len(walks) >= cap:
-                truncated = True
-                break
-            walks.append(prefix)
-            continue
-        heads = sorted((head for (_, head) in view.argmin[v]), reverse=True)
-        for head in heads:
-            stack.append(prefix + (head,))
-    return tuple(walks), truncated
-
-
 def is_motivating(graph: TaskGraph,
                   config: CostConfiguration | Mapping | None,
                   beta: RationalLike,
@@ -146,22 +124,60 @@ def is_motivating(graph: TaskGraph,
     Motivating means: at every reachable non-target node the lowest
     perceived cost is at most beta * reward (the threshold is closed).
     Walk enumeration is for reporting only and is capped; the verdict is
-    computed on the reachable set, which is exact.
+    computed on the reachable set, which is exact. Works in integers: with
+    beta = p/q and `unit` the costs' common denominator, q*unit times a
+    perceived cost is `q*cost + p*d` over the costs scaled by `unit`.
     """
     r = as_rational(reward)
     if r < 0:
         raise ValueError("reward must be nonnegative")
-    view = build_view(graph, config, beta)
-    threshold = view.beta * r
-    reachable = reachable_by_ties(view)
-    abandon = frozenset(v for v in reachable
-                        if v != graph.target and view.zeta[v] > threshold)
-    walks, truncated = _enumerate_walks(view, threshold, walk_cap)
+    b = check_bias(beta)
+    _, cost = _edge_costs(graph, config)
+    p, q = b.numerator, b.denominator
+    unit = lcm(*(c.denominator for c in cost))
+    icost = [c.numerator * (unit // c.denominator) for c in cost]
+    d = distances(graph, icost)
+    qcost = [q * c for c in icost]
+    # zeta <= beta*r, in integers: q*unit*zeta <= floor(p*unit*r)
+    threshold = r.numerator * unit * p // r.denominator
+    # the tie closure of the source; each node's tied heads, highest first
+    source, target, edges = graph.source, graph.target, graph.edges
+    zeta: dict[int, int] = {}
+    ties: dict[int, list[int]] = {}
+    seen = {source}
+    queue = [source]
+    for v in queue:
+        if v == target:
+            continue
+        _, zeta[v], tied = choice(graph, qcost, d, p, v)
+        ties[v] = sorted((edges[i].head for i in tied), reverse=True)
+        for w in ties[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    # tie walks, lowest head first, on one shared path; each ends at the
+    # target or at the first node whose lowest perceived cost is too high
+    walks: list[tuple[int, ...]] = []
+    truncated = False
+    path: list[int] = []
+    stack = [(source, 0)]
+    while stack:
+        v, depth = stack.pop()
+        del path[depth:]
+        path.append(v)
+        if v == target or zeta[v] > threshold:
+            if len(walks) >= walk_cap:
+                truncated = True
+                break
+            walks.append(tuple(path))
+            continue
+        stack.extend((w, depth + 1) for w in ties[v])
+    abandon = frozenset(v for v, z in zeta.items() if z > threshold)
     return WalkReport(reward=r,
                       motivating=not abandon,
-                      reachable=reachable,
+                      reachable=frozenset(seen),
                       abandon_nodes=abandon,
-                      walks=walks,
+                      walks=tuple(walks),
                       truncated=truncated)
 
 

@@ -46,6 +46,16 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _budget_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -413,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("exact", _cmd_exact, "exact infimum over penalty schemes")
     sp.add_argument("file")
-    sp.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET)
+    sp.add_argument("--budget", type=_budget_arg, default=DEFAULT_PATH_BUDGET)
 
     sp = add("reduce3sat", _cmd_reduce3sat, "3-SAT formula to task graph")
     sp.add_argument("cnf", help="DIMACS CNF file")
@@ -472,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("compare", _cmd_compare,
              "penalty infimum vs prohibition optimum vs the 1/beta bound")
     sp.add_argument("file")
-    sp.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET)
+    sp.add_argument("--budget", type=_budget_arg, default=DEFAULT_PATH_BUDGET)
     sp.add_argument("--edge-budget", type=int, default=DEFAULT_EDGE_BUDGET)
 
     return parser

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .agent import WalkReport, is_motivating
@@ -135,7 +136,8 @@ class InfimumResult:
     fences approach it. When the path budget is hit, `exhausted` is set and
     the incumbent so far is returned. `expansions` counts the partial paths
     (suffixes ending at the target, the bare target included) that were
-    fenced and had their in-edges scanned.
+    fenced and had their in-edges scanned; a suffix skipped as dominated is
+    fenced but not counted, and neither are the paths below it.
     """
 
     value: Fraction | None
@@ -158,7 +160,9 @@ def exact_infimum(graph: TaskGraph,
     node in place: only its ancestors' distances change, and an undo log
     restores them on backtrack. It prunes with two sound bounds: the exact
     suffix maximum, and the bottleneck over source-to-tail prefixes under
-    the current suffix-fenced distances (extras only raise distances).
+    the current suffix-fenced distances (extras only raise distances). It
+    also skips a suffix that a fully searched one dominates: same head, same
+    distances on the head's frontier, and no smaller suffix maximum.
     """
     b = check_bias(beta)
     if path_budget < 1:
@@ -192,6 +196,20 @@ def exact_infimum(graph: TaskGraph,
     qcost = [q * c for c in cost]
     dist = distances(graph, cost)
     extra = [0] * len(graph.edges)
+    # below a head the search depends only on the suffix maximum and the
+    # distances on the head's frontier: the head and every node that one of
+    # its ancestors has an edge into (the ancestors' own distances follow)
+    anc, into = [0] * n, [0] * n  # bitsets of ancestors, of their out-neighbours
+    for u in topo:
+        outs = 0
+        for i in out_idx[u]:
+            outs |= 1 << heads[i]
+        up, reach = anc[u] | 1 << u, into[u] | outs
+        for i in out_idx[u]:
+            anc[heads[i]] |= up
+            into[heads[i]] |= reach
+    frontier: dict[int, itemgetter] = {}  # head -> its frontier distances
+    done: dict[tuple, int] = {}  # (head, frontier distances) -> least searched eta_max
 
     best: int | None = None  # incumbent perceived cost, in unit/q
     best_path: tuple[int, ...] | None = None
@@ -199,14 +217,15 @@ def exact_infimum(graph: TaskGraph,
     log: list[tuple[int, int]] = []  # (node, distance before an update)
     bneck = [0] * n  # scratch: prefix bottleneck per node
     suffix = [target]
-    # frame: head, next in-edge, suffix maximum, log length on entry, and the
-    # prefix bounds of the in-edges' tails (computed once an incumbent exists)
-    stack: list[list] = [[target, 0, 0, 0, None]]
+    # frame: head, next in-edge, suffix maximum, log length on entry, the
+    # prefix bounds of the in-edges' tails (computed once an incumbent
+    # exists), and the head's dominance key
+    stack: list[list] = [[target, 0, 0, 0, None, None]]
     while stack:
         frame = stack[-1]
-        head, k, eta_max, mark, bounds = frame
+        head, k, eta_max, mark, bounds, key = frame
         ins = in_idx[head]
-        if k == len(ins):  # backtrack: unfence the head
+        if k == len(ins):  # backtrack: the subtree is fully searched (or skipped)
             stack.pop()
             suffix.pop()
             for i in out_idx[head]:
@@ -214,6 +233,8 @@ def exact_infimum(graph: TaskGraph,
             for u, old in reversed(log[mark:]):
                 dist[u] = old
             del log[mark:]
+            if key is not None:
+                done[key] = eta_max
             continue
         frame[1] = k + 1
         eidx = ins[k]
@@ -263,8 +284,22 @@ def exact_infimum(graph: TaskGraph,
                     if tails[i] not in queued:
                         queued.add(tails[i])
                         heappush(heap, -pos[tails[i]])
+        if v not in frontier:
+            bits, nodes = into[v] & ~anc[v], []
+            while bits:
+                nodes.append(bits.bit_length() - 1)
+                bits ^= 1 << nodes[-1]
+            frontier[v] = itemgetter(*nodes)  # v itself is among them
+        key = (v, frontier[v](dist))
         suffix.append(v)
-        stack.append([v, 0, cand, mark, None])
+        # a searched suffix with the same key and no larger maximum found
+        # every completion's value or pruned it: nothing here improves
+        # strictly. Such a suffix enters with its in-edges used up, so the
+        # next step unfences it without recording it.
+        if done.get(key, cand + 1) <= cand:
+            stack.append([v, len(in_idx[v]), cand, mark, None, None])
+            continue
+        stack.append([v, 0, cand, mark, None, key])
         expansions += 1
 
     value = None if best is None else Fraction(best, unit * p)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from penalty_planner import (
     CostConfiguration,
     TaskGraph,
+    WalkReport,
     fence_required_reward,
     preprocess,
 )
@@ -61,6 +63,42 @@ def brute_infimum(graph: TaskGraph, beta) -> tuple[Fraction, tuple[int, ...]]:
             best, best_path = value, p
     assert best is not None
     return best, best_path
+
+
+def brute_walk_report(graph: TaskGraph, config, beta, reward, walk_cap: int) -> WalkReport:
+    """The agent's report, with every remaining cost found by enumerating paths."""
+    beta, reward = Fraction(beta), Fraction(reward)
+    threshold = beta * reward
+    zeta, tied = {}, {}
+    for v in range(graph.n):
+        if v == graph.target:
+            continue
+        eta = {e.head: path_cost(graph, config, (v, e.head))
+               + beta * brute_cheapest(graph, config, e.head) for e in graph.out_edges(v)}
+        zeta[v] = min(eta.values())
+        tied[v] = sorted(w for w, x in eta.items() if x == zeta[v])
+    reachable = {graph.source}
+    frontier = [graph.source]
+    while frontier:
+        v = frontier.pop()
+        for w in tied.get(v, ()):
+            if w not in reachable:
+                reachable.add(w)
+                frontier.append(w)
+
+    def walks(prefix):
+        v = prefix[-1]
+        if v == graph.target or zeta[v] > threshold:
+            yield prefix
+            return
+        for w in tied[v]:
+            yield from walks(prefix + (w,))
+
+    found = list(islice(walks((graph.source,)), walk_cap + 1))
+    abandon = {v for v in reachable if v != graph.target and zeta[v] > threshold}
+    return WalkReport(reward=reward, motivating=not abandon,
+                      reachable=frozenset(reachable), abandon_nodes=frozenset(abandon),
+                      walks=tuple(found[:walk_cap]), truncated=len(found) > walk_cap)
 
 
 def materialize_subgraph(graph: TaskGraph, kept) -> TaskGraph:

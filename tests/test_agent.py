@@ -18,7 +18,7 @@ from penalty_planner import (
     reachable_by_ties,
     tie_walk,
 )
-from oracles import materialize_subgraph, random_config
+from oracles import brute_walk_report, materialize_subgraph, random_config
 
 
 def test_build_view_alice():
@@ -182,3 +182,20 @@ def test_walks_follow_argmin_edges_and_end_properly(seed):
             for u in walk[:-1]:
                 assert view.zeta[u] <= beta * reward
             assert set(walk) <= report.reachable
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_report_matches_path_enumeration_oracle(seed):
+    # costs and extras in {0, 1}: many tied edges and many tie walks
+    beta = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)][seed % 5]
+    g = gen_random(3 + seed % 8, 0.6, beta, seed=700 + seed,
+                   max_numerator=1, max_denominator=1).graph
+    rng = random.Random(seed)
+    for _ in range(2):
+        cfg = random_config(g, rng, max_num=1, max_den=1)
+        threshold = min_motivating_reward(g, cfg, beta)
+        rewards = [threshold, F(0)] + ([threshold - F(1, 1000)] if threshold > 0 else [])
+        for reward in rewards:
+            for cap in (1, 3, 64):
+                assert (is_motivating(g, cfg, beta, reward, walk_cap=cap)
+                        == brute_walk_report(g, cfg, beta, reward, cap))

@@ -226,6 +226,17 @@ def test_usage_error_exits_two(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["exact", "compare"])
+@pytest.mark.parametrize("budget", ["0", "-3", "many"])
+def test_budget_below_one_is_usage_error(tmp_path, capsys, command, budget):
+    path = tmp_path / "g.json"
+    run(capsys, "gen", "noopt", "--beta", "1/2", "-o", str(path))
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), "--budget", budget])
+    assert err.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_human_output_is_readable(tmp_path, capsys):
     path = tmp_path / "alice.json"
     run(capsys, "gen", "alice", "--m", "10", "-o", str(path))

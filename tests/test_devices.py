@@ -31,7 +31,7 @@ from penalty_planner import (
     successor_map,
     tie_walk,
 )
-from oracles import brute_infimum, materialize_subgraph, random_config
+from oracles import all_paths, brute_infimum, materialize_subgraph, random_config
 
 ALICE_CHAIN = tuple(range(11))
 
@@ -189,6 +189,22 @@ def test_exact_infimum_matches_enumeration_oracle(seed):
     assert not result.exhausted
     # the witness path's own fence value equals the reported infimum
     assert fence_required_reward(g, beta, result.path) == result.value
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_exact_infimum_witness_is_first_optimal_path_in_search_order(seed):
+    # the search grows paths back from the target, tails by id, and keeps
+    # only strict improvements: of all optimal paths, the witness is the
+    # least when read backwards. Costs in {0, 1} make optimal paths tie.
+    beta = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)][seed % 5]
+    g = gen_random(3 + seed % 9, 0.6, beta, seed=1300 + seed,
+                   max_numerator=1, max_denominator=1).graph
+    values = {p: fence_required_reward(g, beta, p) for p in all_paths(g)}
+    best = min(values.values())
+    optimal = [p for p, value in values.items() if value == best]
+    result = exact_infimum(g, beta)
+    assert result.value == best
+    assert result.path == min(optimal, key=lambda p: p[::-1])
 
 
 def test_exact_infimum_budget_flag():

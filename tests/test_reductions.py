@@ -236,15 +236,31 @@ def test_unsatisfiable_formula_has_infimum_above_critical_reward():
     assert exact_infimum(meta.graph, BETA).value > 5
 
 
-def test_satisfiable_8_vars_24_clauses_solves_to_critical_reward():
-    rng = random.Random(0)
+def random_8_vars_24_clauses(seed):
+    rng = random.Random(seed)
     clauses = tuple(tuple(v if rng.random() < 0.5 else -v
                           for v in rng.sample(range(1, 9), 3)) for _ in range(24))
-    formula = CnfFormula(8, clauses)
+    return CnfFormula(8, clauses)
+
+
+def test_satisfiable_8_vars_24_clauses_solves_to_critical_reward():
+    formula = random_8_vars_24_clauses(0)
     assert next(formula.satisfying_assignments(), None) is not None
     result = exact_infimum(sat_to_mcc(formula, BETA).graph, BETA)
     assert not result.exhausted
     assert result.value == 1 / BETA
+
+
+@pytest.mark.parametrize("seed", [4, 7])
+@pytest.mark.parametrize("gap", [False, True])
+def test_hard_8_vars_24_clauses_solves_in_few_expansions(seed, gap):
+    # without skipping dominated suffixes each of these ran for over 20 s:
+    # the optimum 1/beta is found only after tens of thousands of suffixes
+    formula = random_8_vars_24_clauses(seed)
+    result = exact_infimum(sat_to_mcc(formula, BETA, gap=gap).graph, BETA)
+    assert result.value == 1 / BETA
+    assert not result.exhausted
+    assert result.expansions < 2_000
 
 
 def test_gap_instance_decisions():
