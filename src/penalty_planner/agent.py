@@ -8,7 +8,6 @@ is done over the closure of all tie choices rather than a single walk.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -18,7 +17,6 @@ from .graph import (
     CostConfiguration,
     RationalLike,
     TaskGraph,
-    ZERO,
     _edge_costs,
     as_rational,
     check_bias,
@@ -84,22 +82,11 @@ def build_view(graph: TaskGraph,
 def reachable_by_ties(view: AgentView) -> frozenset[int]:
     """Nodes the agent can occupy under some tie-breaking, for any reward.
 
-    Closure of the source under the argmin relation. Edge choice never
-    depends on the reward, only the decision to stop does, so this set is
-    reward-independent.
+    Closure of the source under the argmin relation, computed from the
+    view's graph, configuration and beta. Only the decision to stop depends
+    on the reward, not the edge choice, so this set is reward-independent.
     """
-    graph = view.graph
-    seen = {graph.source}
-    queue = deque([graph.source])
-    while queue:
-        v = queue.popleft()
-        if v == graph.target:
-            continue
-        for (_, head) in view.argmin[v]:
-            if head not in seen:
-                seen.add(head)
-                queue.append(head)
-    return frozenset(seen)
+    return _tie_closure(view.graph, view.config, view.beta)[0]
 
 
 def tie_walk(view: AgentView) -> tuple[int, ...]:
@@ -113,34 +100,25 @@ def tie_walk(view: AgentView) -> tuple[int, ...]:
     return tuple(walk)
 
 
-def is_motivating(graph: TaskGraph,
-                  config: CostConfiguration | Mapping | None,
-                  beta: RationalLike,
-                  reward: RationalLike,
-                  *,
-                  walk_cap: int = DEFAULT_WALK_CAP) -> WalkReport:
-    """Decide whether the agent reaches the target under every tie choice.
+def _tie_closure(graph: TaskGraph,
+                 config: CostConfiguration | Mapping | None,
+                 beta: RationalLike
+                 ) -> tuple[frozenset[int], dict[int, int], dict[int, list[int]], int]:
+    """The source's closure under every tie choice, in integers.
 
-    Motivating means: at every reachable non-target node the lowest
-    perceived cost is at most beta * reward (the threshold is closed).
-    Walk enumeration is for reporting only and is capped; the verdict is
-    computed on the reachable set, which is exact. Works in integers: with
-    beta = p/q and `unit` the costs' common denominator, q*unit times a
-    perceived cost is `q*cost + p*d` over the costs scaled by `unit`.
+    With beta = p/q and `scale` the costs' common denominator, q*scale
+    times a perceived cost is `q*cost + p*d` over the scaled costs.
+    Returns the closure, each non-target member's zeta (in the unit
+    q*scale) and tied heads (highest first), and p*scale: zeta/beta is
+    zeta/(p*scale), and zeta <= beta*r is zeta <= floor(p*scale*r).
     """
-    r = as_rational(reward)
-    if r < 0:
-        raise ValueError("reward must be nonnegative")
     b = check_bias(beta)
     _, cost = _edge_costs(graph, config)
     p, q = b.numerator, b.denominator
-    unit = lcm(*(c.denominator for c in cost))
-    icost = [c.numerator * (unit // c.denominator) for c in cost]
+    scale = lcm(*(c.denominator for c in cost))
+    icost = [c.numerator * (scale // c.denominator) for c in cost]
     d = distances(graph, icost)
     qcost = [q * c for c in icost]
-    # zeta <= beta*r, in integers: q*unit*zeta <= floor(p*unit*r)
-    threshold = r.numerator * unit * p // r.denominator
-    # the tie closure of the source; each node's tied heads, highest first
     source, target, edges = graph.source, graph.target, graph.edges
     zeta: dict[int, int] = {}
     ties: dict[int, list[int]] = {}
@@ -155,6 +133,29 @@ def is_motivating(graph: TaskGraph,
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
+    return frozenset(seen), zeta, ties, p * scale
+
+
+def is_motivating(graph: TaskGraph,
+                  config: CostConfiguration | Mapping | None,
+                  beta: RationalLike,
+                  reward: RationalLike,
+                  *,
+                  walk_cap: int = DEFAULT_WALK_CAP) -> WalkReport:
+    """Decide whether the agent reaches the target under every tie choice.
+
+    Motivating means: at every reachable non-target node the lowest
+    perceived cost is at most beta * reward (the threshold is closed).
+    Walk enumeration is for reporting only and is capped; the verdict is
+    computed on the reachable set, which is exact, in `_tie_closure`'s
+    integers.
+    """
+    r = as_rational(reward)
+    if r < 0:
+        raise ValueError("reward must be nonnegative")
+    reachable, zeta, ties, unit = _tie_closure(graph, config, beta)
+    threshold = r.numerator * unit // r.denominator  # floor(p*scale*r)
+    source, target = graph.source, graph.target
     # tie walks, lowest head first, on one shared path; each ends at the
     # target or at the first node whose lowest perceived cost is too high
     walks: list[tuple[int, ...]] = []
@@ -175,7 +176,7 @@ def is_motivating(graph: TaskGraph,
     abandon = frozenset(v for v, z in zeta.items() if z > threshold)
     return WalkReport(reward=r,
                       motivating=not abandon,
-                      reachable=frozenset(seen),
+                      reachable=reachable,
                       abandon_nodes=abandon,
                       walks=tuple(walks),
                       truncated=truncated)
@@ -189,10 +190,5 @@ def min_motivating_reward(graph: TaskGraph,
     This is max zeta over reachable decision nodes, divided by beta; the
     graph is motivating exactly for rewards >= the returned value.
     """
-    view = build_view(graph, config, beta)
-    reachable = reachable_by_ties(view)
-    worst = ZERO
-    for v in reachable:
-        if v != graph.target and view.zeta[v] > worst:
-            worst = view.zeta[v]
-    return worst / view.beta
+    _, zeta, _, unit = _tie_closure(graph, config, beta)
+    return Fraction(max(zeta.values(), default=0), unit)

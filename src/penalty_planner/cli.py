@@ -46,14 +46,17 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _budget_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _read_text(path: str) -> str:
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("simulate", _cmd_simulate, "simulate the agent for a reward")
     sp.add_argument("file")
     sp.add_argument("--reward", type=_rational_arg, default=None)
-    sp.add_argument("--walks", type=int, default=64,
+    sp.add_argument("--walks", type=_int_at_least(0), default=64,
                     help="cap on enumerated walks (default 64)")
 
     sp = add("min-reward", _cmd_min_reward, "minimum motivating reward")
@@ -423,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("exact", _cmd_exact, "exact infimum over penalty schemes")
     sp.add_argument("file")
-    sp.add_argument("--budget", type=_budget_arg, default=DEFAULT_PATH_BUDGET)
+    sp.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_PATH_BUDGET)
 
     sp = add("reduce3sat", _cmd_reduce3sat, "3-SAT formula to task graph")
     sp.add_argument("cnf", help="DIMACS CNF file")
@@ -482,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("compare", _cmd_compare,
              "penalty infimum vs prohibition optimum vs the 1/beta bound")
     sp.add_argument("file")
-    sp.add_argument("--budget", type=_budget_arg, default=DEFAULT_PATH_BUDGET)
-    sp.add_argument("--edge-budget", type=int, default=DEFAULT_EDGE_BUDGET)
+    sp.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_PATH_BUDGET)
+    sp.add_argument("--edge-budget", type=_int_at_least(0), default=DEFAULT_EDGE_BUDGET)
 
     return parser
 

@@ -65,10 +65,10 @@ def brute_infimum(graph: TaskGraph, beta) -> tuple[Fraction, tuple[int, ...]]:
     return best, best_path
 
 
-def brute_walk_report(graph: TaskGraph, config, beta, reward, walk_cap: int) -> WalkReport:
-    """The agent's report, with every remaining cost found by enumerating paths."""
-    beta, reward = Fraction(beta), Fraction(reward)
-    threshold = beta * reward
+def _brute_ties(graph: TaskGraph, config, beta: Fraction):
+    """Every non-target node's zeta and tied heads (ascending), and the
+    source's tie closure, with every remaining cost found by enumerating
+    paths."""
     zeta, tied = {}, {}
     for v in range(graph.n):
         if v == graph.target:
@@ -85,6 +85,23 @@ def brute_walk_report(graph: TaskGraph, config, beta, reward, walk_cap: int) -> 
             if w not in reachable:
                 reachable.add(w)
                 frontier.append(w)
+    return zeta, tied, frozenset(reachable)
+
+
+def brute_min_reward(graph: TaskGraph, config, beta) -> tuple[Fraction, frozenset[int]]:
+    """The least motivating reward, max zeta over the tie closure divided
+    by beta, and that closure."""
+    beta = Fraction(beta)
+    zeta, _, reachable = _brute_ties(graph, config, beta)
+    worst = max((zeta[v] for v in reachable if v != graph.target), default=Fraction(0))
+    return worst / beta, reachable
+
+
+def brute_walk_report(graph: TaskGraph, config, beta, reward, walk_cap: int) -> WalkReport:
+    """The agent's report, with every remaining cost found by enumerating paths."""
+    beta, reward = Fraction(beta), Fraction(reward)
+    threshold = beta * reward
+    zeta, tied, reachable = _brute_ties(graph, config, beta)
 
     def walks(prefix):
         v = prefix[-1]
@@ -97,7 +114,7 @@ def brute_walk_report(graph: TaskGraph, config, beta, reward, walk_cap: int) -> 
     found = list(islice(walks((graph.source,)), walk_cap + 1))
     abandon = {v for v in reachable if v != graph.target and zeta[v] > threshold}
     return WalkReport(reward=reward, motivating=not abandon,
-                      reachable=frozenset(reachable), abandon_nodes=frozenset(abandon),
+                      reachable=reachable, abandon_nodes=frozenset(abandon),
                       walks=tuple(found[:walk_cap]), truncated=len(found) > walk_cap)
 
 

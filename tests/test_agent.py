@@ -18,7 +18,7 @@ from penalty_planner import (
     reachable_by_ties,
     tie_walk,
 )
-from oracles import brute_walk_report, materialize_subgraph, random_config
+from oracles import brute_min_reward, brute_walk_report, materialize_subgraph, random_config
 
 
 def test_build_view_alice():
@@ -107,6 +107,20 @@ def test_min_reward_is_the_exact_threshold(seed):
     assert is_motivating(g, cfg, beta, r + F(1, 1000)).motivating
     if r > 0:
         assert not is_motivating(g, cfg, beta, r - F(1, 1000)).motivating
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_min_reward_matches_path_enumeration_oracle(seed):
+    # odd seeds draw costs and extras in {0, 1}, where ties are common
+    costs, extras = ((1, 1), (1, 1)) if seed % 2 else ((8, 64), (6, 8))
+    beta = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)][seed % 5]
+    g = gen_random(3 + seed % 8, 0.6, beta, seed=800 + seed,
+                   max_numerator=costs[0], max_denominator=costs[1]).graph
+    for cfg in (None, random_config(g, random.Random(seed), 0.4, *extras)):
+        want, closure = brute_min_reward(g, cfg, beta)
+        got = min_motivating_reward(g, cfg, beta)
+        assert type(got) is F and got == want
+        assert reachable_by_ties(build_view(g, cfg, beta)) == closure
 
 
 @pytest.mark.parametrize("seed", range(10))

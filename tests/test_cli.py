@@ -237,6 +237,28 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, command, budget):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--walks", "-1"), ("simulate", "--walks", "-3"),
+    ("simulate", "--walks", "many"), ("compare", "--edge-budget", "-1"),
+])
+def test_count_below_zero_is_usage_error(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "g.json"
+    run(capsys, "gen", "noopt", "--beta", "1/2", "-o", str(path))
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_walks_gives_the_verdict_only(tmp_path, capsys):
+    path = tmp_path / "alice.json"
+    run(capsys, "gen", "alice", "--m", "10", "-o", str(path))
+    code, payload, _ = run_json(capsys, "simulate", str(path), "--walks", "0")
+    assert code == 0
+    assert payload["payload"]["motivating"] is True
+    assert payload["payload"]["walks"] == []
+
+
 def test_human_output_is_readable(tmp_path, capsys):
     path = tmp_path / "alice.json"
     run(capsys, "gen", "alice", "--m", "10", "-o", str(path))
