@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
 from .graph import (
@@ -22,6 +21,7 @@ from .graph import (
     check_bias,
     choice,
     distances,
+    scaled_costs,
 )
 
 DEFAULT_WALK_CAP = 64
@@ -106,17 +106,15 @@ def _tie_closure(graph: TaskGraph,
                  ) -> tuple[frozenset[int], dict[int, int], dict[int, list[int]], int]:
     """The source's closure under every tie choice, in integers.
 
-    With beta = p/q and `scale` the costs' common denominator, q*scale
-    times a perceived cost is `q*cost + p*d` over the scaled costs.
+    The integers are `graph.scaled_costs`, in a common unit 1/scale; with
+    beta = p/q, q*scale times a perceived cost is `q*cost + p*d` over them.
     Returns the closure, each non-target member's zeta (in the unit
     q*scale) and tied heads (highest first), and p*scale: zeta/beta is
     zeta/(p*scale), and zeta <= beta*r is zeta <= floor(p*scale*r).
     """
     b = check_bias(beta)
-    _, cost = _edge_costs(graph, config)
+    icost, scale = scaled_costs(graph, config)
     p, q = b.numerator, b.denominator
-    scale = lcm(*(c.denominator for c in cost))
-    icost = [c.numerator * (scale // c.denominator) for c in cost]
     d = distances(graph, icost)
     qcost = [q * c for c in icost]
     source, target, edges = graph.source, graph.target, graph.edges

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -37,6 +36,7 @@ from .graph import (
     check_bias,
     choice,
     distances,
+    scaled_costs,
 )
 
 DEFAULT_PATH_BUDGET = 100_000
@@ -160,9 +160,11 @@ def exact_infimum(graph: TaskGraph,
     node in place: only its ancestors' distances change, and an undo log
     restores them on backtrack. It prunes with two sound bounds: the exact
     suffix maximum, and the bottleneck over source-to-tail prefixes under
-    the current suffix-fenced distances (extras only raise distances). It
-    also skips a suffix that a fully searched one dominates: same head, same
-    distances on the head's frontier, and no smaller suffix maximum.
+    the current suffix-fenced distances (extras only raise distances),
+    re-swept only from the lowest topological position whose distance
+    changed since the last sweep. It also skips a suffix that a fully
+    searched one dominates: same head, same distances on the head's
+    frontier, and no smaller suffix maximum.
     """
     b = check_bias(beta)
     if path_budget < 1:
@@ -191,8 +193,9 @@ def exact_infimum(graph: TaskGraph,
     # target has denominator scale*q^k; in the unit scale*q^L (L edges on a
     # longest path) every extra and distance is an integer, and so is every
     # perceived cost q*cost + p*dist in unit/q
-    unit = lcm(*(e.cost.denominator for e in graph.edges)) * q ** max(depth[target], 0)
-    cost = [int(e.cost * unit) for e in graph.edges]
+    cost, scale = scaled_costs(graph, None)
+    lift = q ** max(depth[target], 0)
+    unit, cost = scale * lift, [c * lift for c in cost]
     qcost = [q * c for c in cost]
     dist = distances(graph, cost)
     extra = [0] * len(graph.edges)
@@ -215,7 +218,9 @@ def exact_infimum(graph: TaskGraph,
     best_path: tuple[int, ...] | None = None
     evaluated, expansions, exhausted = 0, 1, False
     log: list[tuple[int, int]] = []  # (node, distance before an update)
-    bneck = [0] * n  # scratch: prefix bottleneck per node
+    # prefix bottleneck per node, valid for the current dist at topological
+    # positions 1..fresh: the one at position x reads dist at positions <= x
+    bneck, fresh = [0] * n, 0
     suffix = [target]
     # frame: head, next in-edge, suffix maximum, log length on entry, the
     # prefix bounds of the in-edges' tails (computed once an incumbent
@@ -232,6 +237,7 @@ def exact_infimum(graph: TaskGraph,
                 extra[i] = 0
             for u, old in reversed(log[mark:]):
                 dist[u] = old
+                fresh = min(fresh, pos[u] - 1)
             del log[mark:]
             if key is not None:
                 done[key] = eta_max
@@ -247,7 +253,8 @@ def exact_infimum(graph: TaskGraph,
             if bounds is None:
                 # prefixes end before the head in topological order, so
                 # they avoid the suffix; every edge into u shares dist[u]
-                for u in topo[1:max(pos[tails[i]] for i in ins) + 1]:
+                top = max(pos[tails[i]] for i in ins)
+                for u in topo[max(fresh, 0) + 1:top + 1]:  # the source's is 0
                     pd, low = p * dist[u], None
                     for i in in_idx[u]:
                         eta = qcost[i] + pd
@@ -256,6 +263,7 @@ def exact_infimum(graph: TaskGraph,
                         if low is None or eta < low:
                             low = eta
                     bneck[u] = low
+                fresh = max(fresh, top)
                 bounds = frame[4] = [bneck[tails[i]] for i in ins]
             if bounds[k] >= best:
                 continue
@@ -280,6 +288,7 @@ def exact_infimum(graph: TaskGraph,
             if du != dist[u]:
                 log.append((u, dist[u]))
                 dist[u] = du
+                fresh = min(fresh, pos[u] - 1)
                 for i in in_idx[u]:
                     if tails[i] not in queued:
                         queued.add(tails[i])
@@ -486,10 +495,7 @@ def brute_subgraph_opt(graph: TaskGraph,
     n = graph.n
     source, target = graph.source, graph.target
     p, q = b.numerator, b.denominator
-    scale = 1
-    for e in graph.edges:
-        scale = lcm(scale, e.cost.denominator)
-    cost_num = [int(e.cost * scale) for e in graph.edges]
+    cost_num, scale = scaled_costs(graph, None)
     heads = [e.head for e in graph.edges]
     out_idx = [list(graph.out_indices(v)) for v in range(n)]
     rtopo = [v for v in reversed(graph.topological_order()) if v != target]

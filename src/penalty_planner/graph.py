@@ -14,6 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -305,6 +306,20 @@ def _edge_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
     cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
     cfg.check_for(graph)
     return cfg, [e.cost + cfg.get(e.tail, e.head) for e in graph.edges]
+
+
+def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
+                 ) -> tuple[list[int], int]:
+    """`(icost, scale)`: edge i's base cost plus extra is `icost[i] / scale`,
+    with `scale` the lcm of every base cost's and extra's denominator, so no
+    Fraction is added. The configuration is checked against the graph."""
+    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
+    cfg.check_for(graph)
+    cost = [e.cost for e in graph.edges]
+    extra = [cfg.get(e.tail, e.head) for e in graph.edges]
+    scale = lcm(*{c.denominator for c in cost}, *{x.denominator for x in extra})
+    return [c.numerator * (scale // c.denominator) + x.numerator * (scale // x.denominator)
+            for c, x in zip(cost, extra)], scale
 
 
 # -- operations -------------------------------------------------------------

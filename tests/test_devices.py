@@ -170,6 +170,15 @@ def test_exact_infimum_chain_longer_than_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
+def test_exact_infimum_long_chain_work():
+    # each of the 3000 expansions reuses the prefix bound below its head;
+    # re-sweeping every earlier position made this quadratic (seconds)
+    inst = gen_alice(3000)
+    result = exact_infimum(inst.graph, inst.beta)
+    assert (result.value, result.paths_evaluated, result.expansions) == (6, 2, 3000)
+    assert result.path == tuple(range(3001))
+
+
 def test_exact_infimum_single_path_graph():
     g = TaskGraph(3, [(0, 1, 2), (1, 2, 3)], 0, 2)
     result = exact_infimum(g, F(1, 2))

@@ -30,6 +30,7 @@ from penalty_planner import (
     successor_map,
     validate,
 )
+from penalty_planner.graph import scaled_costs
 from oracles import all_paths, brute_cheapest, random_config
 
 
@@ -187,13 +188,30 @@ def test_cheapest_costs_matches_path_enumeration(seed):
     lambda g, cfg: build_view(g, cfg, F(1, 3)),
     lambda g, cfg: is_motivating(g, cfg, F(1, 3), 6),
     lambda g, cfg: min_motivating_reward(g, cfg, F(1, 3)),
+    lambda g, cfg: scaled_costs(g, cfg),
 ], ids=["cheapest_costs", "perceived_cost", "lowest_perceived", "build_view",
-        "is_motivating", "min_motivating_reward"])
+        "is_motivating", "min_motivating_reward", "scaled_costs"])
 def test_configuration_naming_a_missing_edge_is_rejected(call):
     g = gen_alice(5).graph
     for extra in ({(3, 0): 1}, CostConfiguration({(0, 1): 1, (3, 0): 1}), {(0, 99): 1}):
         with pytest.raises(UnknownEdgeError):
             call(g, extra)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scaled_costs_are_exact(seed):
+    # even seeds draw {0,1} costs; extras over primes above 64 have
+    # denominators coprime to every base cost's
+    ties = {"max_numerator": 1, "max_denominator": 1} if seed % 2 == 0 else {}
+    g = gen_random(2 + seed % 9, 0.5, F(1, 2), seed=400 + seed, **ties).graph
+    rng = random.Random(seed)
+    extra = {(e.tail, e.head): F(rng.randint(0, 9), rng.choice([1, 2, 67, 71, 73]))
+             for e in g.edges if rng.random() < 0.5}
+    for cfg in (None, extra, CostConfiguration(extra)):
+        icost, scale = scaled_costs(g, cfg)
+        assert all(type(c) is int for c in icost)
+        assert [F(c, scale) for c in icost] == [
+            e.cost + CostConfiguration(cfg).get(e.tail, e.head) for e in g.edges]
 
 
 def test_perceived_cost_alice_examples():

@@ -236,15 +236,16 @@ def test_unsatisfiable_formula_has_infimum_above_critical_reward():
     assert exact_infimum(meta.graph, BETA).value > 5
 
 
-def random_8_vars_24_clauses(seed):
+def random_formula(seed, num_vars=8, num_clauses=24):
     rng = random.Random(seed)
     clauses = tuple(tuple(v if rng.random() < 0.5 else -v
-                          for v in rng.sample(range(1, 9), 3)) for _ in range(24))
-    return CnfFormula(8, clauses)
+                          for v in rng.sample(range(1, num_vars + 1), 3))
+                    for _ in range(num_clauses))
+    return CnfFormula(num_vars, clauses)
 
 
 def test_satisfiable_8_vars_24_clauses_solves_to_critical_reward():
-    formula = random_8_vars_24_clauses(0)
+    formula = random_formula(0)
     assert next(formula.satisfying_assignments(), None) is not None
     result = exact_infimum(sat_to_mcc(formula, BETA).graph, BETA)
     assert not result.exhausted
@@ -256,11 +257,31 @@ def test_satisfiable_8_vars_24_clauses_solves_to_critical_reward():
 def test_hard_8_vars_24_clauses_solves_in_few_expansions(seed, gap):
     # without skipping dominated suffixes each of these ran for over 20 s:
     # the optimum 1/beta is found only after tens of thousands of suffixes
-    formula = random_8_vars_24_clauses(seed)
+    formula = random_formula(seed)
     result = exact_infimum(sat_to_mcc(formula, BETA, gap=gap).graph, BETA)
     assert result.value == 1 / BETA
     assert not result.exhausted
     assert result.expansions < 2_000
+
+
+@pytest.mark.parametrize("num_vars, num_clauses, seed, gap, work", [
+    (4, 8, 0, False, (10, 85)),
+    (4, 8, 2, True, (15, 111)),
+    (5, 12, 2, False, (13, 143)),
+    (5, 12, 7, True, (13, 140)),
+    (6, 16, 2, False, (13, 277)),
+    (6, 16, 6, True, (14, 441)),
+    (8, 24, 0, False, (26, 565)),
+    (8, 24, 7, True, (21, 630)),
+])
+def test_exact_search_work_is_pinned(num_vars, num_clauses, seed, gap, work):
+    # (paths_evaluated, expansions) as first recorded: a prefix bound left
+    # stale after a fence prunes less, and one left stale after an undo
+    # prunes too much, so either moves these counters
+    formula = random_formula(seed, num_vars, num_clauses)
+    result = exact_infimum(sat_to_mcc(formula, BETA, gap=gap).graph, BETA)
+    assert (result.value, result.paths_evaluated, result.expansions) == (1 / BETA, *work)
+    assert not result.exhausted
 
 
 def test_gap_instance_decisions():
