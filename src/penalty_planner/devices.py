@@ -27,7 +27,6 @@ from .errors import (
     UnknownEdgeError,
 )
 from .graph import (
-    ONE,
     CostConfiguration,
     RationalLike,
     TaskGraph,
@@ -327,15 +326,16 @@ def minmax_path(graph: TaskGraph, beta: RationalLike) -> tuple[tuple[int, ...], 
     b = check_bias(beta)
     if graph.source == graph.target:
         return (graph.source,), ZERO
-    edges, base = graph.edges, [e.cost for e in graph.edges]
-    d0 = distances(graph, base)
-    eta0: list = [None] * len(edges)
-    for v in range(graph.n):
-        if v != graph.target:
-            for i, eta in zip(graph.out_indices(v), choice(graph, base, d0, b, v)[0]):
-                eta0[i] = eta
-    order = sorted(range(len(edges)), key=lambda i: (eta0[i], i))
-    rank = {i: r for r, i in enumerate(order)}
+    p, q = b.numerator, b.denominator
+    edges = graph.edges
+    icost, scale = scaled_costs(graph, None)
+    d = distances(graph, icost)
+    # perceived costs in the unit scale*q; a stable sort keeps ties by index
+    eta0 = [q * c + p * d[e.head] for c, e in zip(icost, edges)]
+    order = sorted(range(len(edges)), key=eta0.__getitem__)
+    rank = [0] * len(edges)
+    for r, i in enumerate(order):
+        rank[i] = r
     reach = [len(edges)] * graph.n  # least rank by which a node is reachable
     reach[graph.source] = -1
     for v in graph.topological_order():
@@ -359,7 +359,7 @@ def minmax_path(graph: TaskGraph, beta: RationalLike) -> tuple[tuple[int, ...], 
         nodes.append(parent[nodes[-1]])
     path = tuple(reversed(nodes))
     rho = max(eta0[graph.edge_index(u, v)] for u, v in zip(path, path[1:]))
-    return path, rho
+    return path, Fraction(rho, q * scale)
 
 
 def successor_map(graph: TaskGraph) -> dict[int, int]:
@@ -368,9 +368,11 @@ def successor_map(graph: TaskGraph) -> dict[int, int]:
     Following the map from any node spells out a cheapest path to the
     target with respect to the base costs.
     """
-    base = [e.cost for e in graph.edges]
-    d0 = distances(graph, base)
-    return {v: min(graph.edges[i].head for i in choice(graph, base, d0, ONE, v)[2])
+    edges = graph.edges
+    icost, _ = scaled_costs(graph, None)
+    d = distances(graph, icost)
+    return {v: min(edges[i].head for i in graph.out_indices(v)
+                   if icost[i] + d[edges[i].head] == d[v])
             for v in range(graph.n) if v != graph.target}
 
 

@@ -60,7 +60,7 @@ def check_bias(beta: RationalLike, *, strict: bool = False) -> Fraction:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     tail: int
     head: int
@@ -249,10 +249,10 @@ class CostConfiguration:
         store: dict[tuple[int, int], Fraction] = {}
         if extra:
             for (tail, head), value in extra.items():
-                x = as_rational(value)
-                if x < 0:
+                x = as_rational(value)  # its denominator is positive: test the numerator
+                if x.numerator < 0:
                     raise ValueError(f"extra cost on ({tail}, {head}) is negative: {x}")
-                if x != 0:
+                if x.numerator:
                     store[(int(tail), int(head))] = x
         self._extra = store
 

@@ -11,6 +11,7 @@ solver outputs self-contained and replayable.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -37,33 +38,53 @@ def parse_rational(text: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from None
 
 
+# one list item each, at the indentation of a list that is a top-level value
+_NODE = '    {\n      "id": %d\n    }'
+_LABELED_NODE = '    {\n      "id": %d,\n      "label": %s\n    }'
+_EDGE = '    {\n      "cost": "%s",\n      "from": %d,\n      "to": %d\n    }'
+_EXTRA = '    {\n      "extra": "%s",\n      "from": %d,\n      "to": %d\n    }'
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize(instance: Instance, config: CostConfiguration | None = None) -> str:
-    """Canonical JSON document for an instance (and optionally a config)."""
+    """Canonical JSON document for an instance (and optionally a config).
+
+    The text is written directly; it is byte-identical to
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)` of the
+    document as a dict, plus a final newline. That encoder runs in pure
+    Python with an indent and is several times slower.
+    """
     graph = instance.graph
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "nodes": [
-            {"id": i} if graph.labels[i] is None else {"id": i, "label": graph.labels[i]}
-            for i in range(graph.n)
-        ],
-        "edges": [
-            {"from": e.tail, "to": e.head, "cost": format_rational(e.cost)}
+    fields = {
+        "schema_version": str(SCHEMA_VERSION),
+        "nodes": _json_list([
+            _NODE % i if label is None else _LABELED_NODE % (i, encode_basestring(label))
+            for i, label in enumerate(graph.labels)
+        ]),
+        "edges": _json_list([
+            _EDGE % (format_rational(e.cost), e.tail, e.head)
             for e in sorted(graph.edges, key=lambda e: (e.tail, e.head))
-        ],
-        "source": graph.source,
-        "target": graph.target,
-        "beta": format_rational(instance.beta),
+        ]),
+        "source": str(graph.source),
+        "target": str(graph.target),
+        "beta": f'"{format_rational(instance.beta)}"',
     }
     if instance.reward is not None:
-        doc["reward"] = format_rational(instance.reward)
+        fields["reward"] = f'"{format_rational(instance.reward)}"'
     if config is not None:
-        doc["extra_costs"] = [
-            {"from": u, "to": v, "extra": format_rational(x)}
-            for (u, v), x in sorted(config.items())
-        ]
+        fields["extra_costs"] = _json_list([
+            _EXTRA % (format_rational(x), u, v) for (u, v), x in sorted(config.items())
+        ])
     if instance.annotations is not None:
-        doc["annotations"] = instance.annotations
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        # nested one level deeper than json.dumps puts a top-level value
+        fields["annotations"] = json.dumps(
+            instance.annotations, sort_keys=True, indent=2, ensure_ascii=False
+        ).replace("\n", "\n  ")
+    body = ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields))
+    return "{\n" + body + "\n}\n"
 
 
 def _require(doc: dict, key: str, kind: type, where: str = "document") -> Any:

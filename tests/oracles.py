@@ -65,6 +65,43 @@ def brute_infimum(graph: TaskGraph, beta) -> tuple[Fraction, tuple[int, ...]]:
     return best, best_path
 
 
+def brute_minmax_path(graph: TaskGraph, beta) -> tuple[tuple[int, ...], Fraction]:
+    """The minmax path by edge insertion: edges go in one at a time by
+    (unmodified perceived cost, edge index) until the target is reachable,
+    then a breadth-first search over the inserted edges, neighbours in
+    insertion order, gives the path; rho is its largest perceived cost."""
+    beta = Fraction(beta)
+    if graph.source == graph.target:
+        return (graph.source,), Fraction(0)
+    edges = graph.edges
+    eta0 = [e.cost + beta * brute_cheapest(graph, None, e.head) for e in edges]
+    inserted = []
+    for i in sorted(range(len(edges)), key=lambda i: (eta0[i], i)):
+        inserted.append(i)
+        seen, frontier = {graph.source}, [graph.source]
+        while frontier:
+            v = frontier.pop()
+            for j in inserted:
+                if edges[j].tail == v and edges[j].head not in seen:
+                    seen.add(edges[j].head)
+                    frontier.append(edges[j].head)
+        if graph.target in seen:
+            break
+    parent = {graph.source: None}
+    queue = [graph.source]
+    for v in queue:
+        for j in inserted:
+            if edges[j].tail == v and edges[j].head not in parent:
+                parent[edges[j].head] = v
+                queue.append(edges[j].head)
+    path = [graph.target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    on_path = set(zip(path, path[1:]))
+    return tuple(path), max(x for e, x in zip(edges, eta0) if (e.tail, e.head) in on_path)
+
+
 def _brute_ties(graph: TaskGraph, config, beta: Fraction):
     """Every non-target node's zeta and tied heads (ascending), and the
     source's tie closure, with every remaining cost found by enumerating

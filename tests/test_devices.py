@@ -31,7 +31,13 @@ from penalty_planner import (
     successor_map,
     tie_walk,
 )
-from oracles import all_paths, brute_infimum, materialize_subgraph, random_config
+from oracles import (
+    all_paths,
+    brute_infimum,
+    brute_minmax_path,
+    materialize_subgraph,
+    random_config,
+)
 
 ALICE_CHAIN = tuple(range(11))
 
@@ -270,6 +276,15 @@ def test_minmax_ratio_instance_stays_on_main_path():
 def test_minmax_deterministic():
     g = gen_random(10, 0.6, F(1, 2), seed=42).graph
     assert minmax_path(g, F(1, 2)) == minmax_path(g, F(1, 2))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_minmax_path_matches_insertion_oracle(seed):
+    # odd seeds draw {0,1} costs, whose many ties test the edge-index order
+    ties = {"max_numerator": 1, "max_denominator": 1} if seed % 2 else {}
+    g = gen_random(2 + seed % 10, 0.5, seed=2400 + seed, **ties).graph
+    for beta in (F(1, 5), F(1, 2), F(2, 3), F(1)):
+        assert minmax_path(g, beta) == brute_minmax_path(g, beta)
 
 
 def test_successor_map_chain():

@@ -92,6 +92,70 @@ def test_serialization_is_byte_stable():
         serialize(Instance(graph=g, beta=inst.beta))
 
 
+def reference_text(instance, config=None):
+    """The canonical document as json.dumps writes it from a dict."""
+    graph = instance.graph
+    doc = {
+        "schema_version": 1,
+        "nodes": [{"id": i} if label is None else {"id": i, "label": label}
+                  for i, label in enumerate(graph.labels)],
+        "edges": [{"from": e.tail, "to": e.head, "cost": str(e.cost)}
+                  for e in sorted(graph.edges, key=lambda e: (e.tail, e.head))],
+        "source": graph.source,
+        "target": graph.target,
+        "beta": str(instance.beta),
+    }
+    if instance.reward is not None:
+        doc["reward"] = str(instance.reward)
+    if config is not None:
+        doc["extra_costs"] = [{"from": u, "to": v, "extra": str(x)}
+                              for (u, v), x in sorted(config.items())]
+    if instance.annotations is not None:
+        doc["annotations"] = instance.annotations
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+AWKWARD = ['"', "\\", "\n", "\t", "\u0001", "\u2028", "\u007f", "\U0001F600", "", "é", "x"]
+
+
+def awkward_annotation(rng, depth=0):
+    kind = rng.randrange(7 if depth < 3 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-10 ** 20, 10 ** 20)
+    if kind == 2:
+        return rng.choice([0.1, -2.5, 1e300, 1e-7, 3.0])
+    if kind in (3, 4):
+        return "".join(rng.choices(AWKWARD, k=rng.randrange(4)))
+    if kind == 5:
+        return {rng.choice(AWKWARD) + str(k): awkward_annotation(rng, depth + 1)
+                for k in range(rng.randrange(4))}
+    return [awkward_annotation(rng, depth + 1) for _ in range(rng.randrange(4))]
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_serialize_matches_json_dumps_byte_for_byte(seed):
+    rng = random.Random(seed)
+    if seed % 8 == 0:  # one node and no edges: "edges": []
+        g = TaskGraph(1, [], 0, 0, [rng.choice(AWKWARD)] if seed % 16 else None)
+    else:
+        ties = {"max_numerator": 1, "max_denominator": 1} if seed % 2 else {}
+        g = gen_random(2 + seed % 12, 0.5, seed=3100 + seed, **ties).graph
+        labels = [None if rng.random() < 0.3 else
+                  "".join(rng.choices(AWKWARD, k=rng.randrange(4))) + f"#{i}"
+                  for i in range(g.n)]
+        g = TaskGraph(g.n, [(e.tail, e.head, e.cost) for e in g.edges],
+                      g.source, g.target, labels)
+    reward = [None, F(rng.randrange(50), rng.randrange(1, 8))][seed % 2]
+    annotations = [None, {}, {"nested": awkward_annotation(rng),
+                              "more": [awkward_annotation(rng)]}][seed % 3]
+    inst = Instance(graph=g, beta=F(rng.randrange(1, 10), 9), reward=reward,
+                    annotations=annotations)
+    config = [None, CostConfiguration(), random_config(g, rng)][seed // 3 % 3]
+    assert serialize(inst, config) == reference_text(inst, config)
+
+
 def test_golden_noopt_file_matches_generator():
     text = (DATA / "noopt_beta_1_2.json").read_text()
     instance, config = parse(text)
