@@ -16,7 +16,6 @@ from .graph import (
     CostConfiguration,
     RationalLike,
     TaskGraph,
-    _edge_costs,
     as_rational,
     check_bias,
     choice,
@@ -60,10 +59,14 @@ class WalkReport:
 def build_view(graph: TaskGraph,
                config: CostConfiguration | Mapping | None,
                beta: RationalLike) -> AgentView:
-    """Populate d, eta, zeta and the argmin relation, all exactly."""
+    """Populate d, eta, zeta and the argmin relation exactly, in integers."""
     b = check_bias(beta)
-    cfg, cost = _edge_costs(graph, config)
-    d = distances(graph, cost)
+    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
+    icost, scale = scaled_costs(graph, cfg)
+    p, q = b.numerator, b.denominator
+    d = distances(graph, icost)
+    qcost = [q * c for c in icost]
+    unit = q * scale  # of perceived costs; distances are in 1/scale
     pairs = graph.edge_pairs()
     eta: dict[tuple[int, int], Fraction] = {}
     zeta: dict[int, Fraction] = {}
@@ -71,11 +74,12 @@ def build_view(graph: TaskGraph,
     for v in range(graph.n):
         if v == graph.target:
             continue
-        etas, zeta[v], ties = choice(graph, cost, d, b, v)
-        eta.update(zip([pairs[i] for i in graph.out_indices(v)], etas))
+        etas, low, ties = choice(graph, qcost, d, p, v)
+        eta.update((pairs[i], Fraction(x, unit)) for i, x in zip(graph.out_indices(v), etas))
+        zeta[v] = Fraction(low, unit)
         argmin[v] = frozenset([pairs[i] for i in ties])
     return AgentView(graph=graph, config=cfg, beta=b,
-                     d={v: d[v] for v in reversed(graph.topological_order())},
+                     d={v: Fraction(d[v], scale) for v in reversed(graph.topological_order())},
                      eta=eta, zeta=zeta, argmin=argmin)
 
 
@@ -151,6 +155,8 @@ def is_motivating(graph: TaskGraph,
     r = as_rational(reward)
     if r < 0:
         raise ValueError("reward must be nonnegative")
+    if walk_cap < 0:
+        raise ValueError("walk cap must be nonnegative")
     reachable, zeta, ties, unit = _tie_closure(graph, config, beta)
     threshold = r.numerator * unit // r.denominator  # floor(p*scale*r)
     source, target = graph.source, graph.target

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .agent import WalkReport, is_motivating, min_motivating_reward
+from .agent import DEFAULT_WALK_CAP, WalkReport, is_motivating, min_motivating_reward
 from .devices import (
     DEFAULT_EDGE_BUDGET,
     DEFAULT_PATH_BUDGET,
@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("simulate", _cmd_simulate, "simulate the agent for a reward")
     sp.add_argument("file")
     sp.add_argument("--reward", type=_rational_arg, default=None)
-    sp.add_argument("--walks", type=_int_at_least(0), default=64,
-                    help="cap on enumerated walks (default 64)")
+    sp.add_argument("--walks", type=_int_at_least(0), default=DEFAULT_WALK_CAP,
+                    help="cap on enumerated walks (default %(default)s)")
 
     sp = add("min-reward", _cmd_min_reward, "minimum motivating reward")
     sp.add_argument("file")

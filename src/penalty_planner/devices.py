@@ -452,21 +452,15 @@ def emulate_subgraph(graph: TaskGraph,
     perceived as more expensive than the reward is worth.
     """
     r = as_rational(reward)
+    if r < 0:
+        raise ValueError("reward must be nonnegative")
     kept = set()
     for (u, v) in kept_edges:
         if not (0 <= u < graph.n and 0 <= v < graph.n and graph.has_edge(u, v)):
             raise UnknownEdgeError(f"kept edge ({u}, {v}) is not in the graph")
         kept.add((u, v))
-    # connectivity of the kept subgraph
-    seen = {graph.source}
-    stack = [graph.source]
-    while stack:
-        v = stack.pop()
-        for e in graph.out_edges(v):
-            if (e.tail, e.head) in kept and e.head not in seen:
-                seen.add(e.head)
-                stack.append(e.head)
-    if graph.target not in seen:
+    kept_graph = TaskGraph(graph.n, [(u, v, 0) for u, v in kept], graph.source, graph.target)
+    if graph.target not in kept_graph.reachable_from(graph.source):
         raise DisconnectedError("kept edges do not connect source to target")
     extra = {(e.tail, e.head): r + 1 for e in graph.edges
              if (e.tail, e.head) not in kept}

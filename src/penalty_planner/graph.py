@@ -4,8 +4,9 @@ A project is modeled as a DAG: nodes are states, edges are tasks with
 nonnegative costs, and every source-to-target path is a valid way to finish.
 Penalty schemes ("cost configurations") add extra cost to chosen edges.
 
-All arithmetic uses `fractions.Fraction`. Agent behavior hinges on exact
-ties between perceived costs, so floats are rejected at the boundary.
+Values are exact: `fractions.Fraction` at the API, scaled integers inside.
+Agent behavior hinges on exact ties between perceived costs, so floats are
+rejected at the boundary.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .errors import (
     UnknownEdgeError,
 )
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -130,6 +129,8 @@ class TaskGraph:
         for i, lab in enumerate(self.labels):
             if lab is None:
                 continue
+            if not isinstance(lab, str):
+                raise ValueError(f"node label {lab!r} is not a string")
             if lab in label_to_id:
                 raise ValueError(f"duplicate node label {lab!r}")
             label_to_id[lab] = i
@@ -299,15 +300,6 @@ class CostConfiguration:
 _ZERO_CONFIG = CostConfiguration()
 
 
-def _edge_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
-                ) -> tuple[CostConfiguration, list[Fraction]]:
-    """The configuration, checked against the graph, and each edge's base
-    cost plus extra."""
-    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
-    cfg.check_for(graph)
-    return cfg, [e.cost + cfg.get(e.tail, e.head) for e in graph.edges]
-
-
 def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
                  ) -> tuple[list[int], int]:
     """`(icost, scale)`: edge i's base cost plus extra is `icost[i] / scale`,
@@ -402,8 +394,9 @@ def choice(graph: TaskGraph, cost: Sequence, d: Sequence, beta, node: int
 
     Returns the perceived cost `cost[i] + beta*d[head]` of every out-edge
     (in `out_indices` order), their minimum, and the indices of all edges
-    attaining it. Exact for any number type: for beta = p/q, callers in
-    scaled integers pass (q*cost, p) and get the same order and ties.
+    attaining it. For beta = p/q, callers in scaled integers pass
+    (q*cost, p) and get the same order and ties; `devices._fence_on_path`
+    is the one caller that passes Fractions.
     """
     edges = graph.edges
     out = graph.out_indices(node)
@@ -420,8 +413,9 @@ def cheapest_costs(graph: TaskGraph,
     may name only edges of the graph. Requires a preprocessed graph (every
     node must reach the target).
     """
-    d = distances(graph, _edge_costs(graph, config)[1])
-    return {v: d[v] for v in reversed(graph.topological_order())}
+    icost, scale = scaled_costs(graph, config)
+    d = distances(graph, icost)
+    return {v: Fraction(d[v], scale) for v in reversed(graph.topological_order())}
 
 
 def perceived_cost(graph: TaskGraph,
@@ -430,11 +424,12 @@ def perceived_cost(graph: TaskGraph,
                    edge: tuple[int, int]) -> Fraction:
     """Immediate edge cost (with extra) plus discounted remaining cost."""
     b = check_bias(beta)
-    _, cost = _edge_costs(graph, config)
+    icost, scale = scaled_costs(graph, config)
     tail, head = edge
     idx = graph.edge_index(tail, head)
-    etas, _, _ = choice(graph, cost, distances(graph, cost), b, tail)
-    return etas[graph.out_indices(tail).index(idx)]
+    p, q = b.numerator, b.denominator
+    etas, _, _ = choice(graph, [q * c for c in icost], distances(graph, icost), p, tail)
+    return Fraction(etas[graph.out_indices(tail).index(idx)], q * scale)
 
 
 def lowest_perceived(graph: TaskGraph,
@@ -449,6 +444,10 @@ def lowest_perceived(graph: TaskGraph,
     if node == graph.target:
         raise TargetHasNoChoiceError("the target node has no outgoing choice")
     b = check_bias(beta)
-    _, cost = _edge_costs(graph, config)
-    _, low, ties = choice(graph, cost, distances(graph, cost), b, node)
-    return low, frozenset((graph.edges[i].tail, graph.edges[i].head) for i in ties)
+    icost, scale = scaled_costs(graph, config)
+    if not 0 <= node < graph.n:
+        raise ValueError(f"node id {node} out of range")
+    p, q = b.numerator, b.denominator
+    _, low, ties = choice(graph, [q * c for c in icost], distances(graph, icost), p, node)
+    return Fraction(low, q * scale), frozenset((graph.edges[i].tail, graph.edges[i].head)
+                                               for i in ties)

@@ -15,7 +15,6 @@ from penalty_planner import (
     CostConfiguration,
     TaskGraph,
     WalkReport,
-    fence_required_reward,
     preprocess,
 )
 
@@ -53,12 +52,35 @@ def brute_cheapest(graph: TaskGraph, config, node: int) -> Fraction:
     return min(path_cost(graph, config, p) for p in all_paths(graph, node))
 
 
+def brute_fence(graph: TaskGraph, beta, path, margin) -> tuple[dict, Fraction]:
+    """The fence of a path and the reward it needs.
+
+    Walks the path backwards; at each path node every straying edge gets
+    just enough extra to be perceived `margin` above the on-path edge, with
+    every remaining cost found by enumerating paths under the extras so
+    far. Returns the positive extras and the largest on-path perceived cost
+    divided by beta.
+    """
+    beta, margin = Fraction(beta), Fraction(margin)
+    extra: dict[tuple[int, int], Fraction] = {}
+    on_path = []
+    for k in range(len(path) - 2, -1, -1):
+        v, nxt = path[k], path[k + 1]
+        eta = {e.head: path_cost(graph, extra, (v, e.head))
+               + beta * brute_cheapest(graph, extra, e.head) for e in graph.out_edges(v)}
+        on_path.append(eta[nxt])
+        for w, x in eta.items():
+            if w != nxt and eta[nxt] - x + margin > 0:
+                extra[(v, w)] = eta[nxt] - x + margin
+    return extra, max(on_path, default=Fraction(0)) / beta
+
+
 def brute_infimum(graph: TaskGraph, beta) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum limiting fence value over all enumerated paths."""
     best = None
     best_path = None
     for p in all_paths(graph):
-        value = fence_required_reward(graph, beta, p)
+        value = brute_fence(graph, beta, p, 0)[1]
         if best is None or value < best:
             best, best_path = value, p
     assert best is not None

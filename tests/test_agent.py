@@ -179,6 +179,14 @@ def test_negative_reward_rejected():
         is_motivating(g, None, F(1, 3), -1)
 
 
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_negative_walk_cap_rejected(cap):
+    g = gen_alice(3).graph
+    with pytest.raises(ValueError, match="walk cap"):
+        is_motivating(g, None, F(1, 3), 6, walk_cap=cap)
+    assert is_motivating(g, None, F(1, 3), 6, walk_cap=0).walks == ()
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_walks_follow_argmin_edges_and_end_properly(seed):
     beta = [F(1, 4), F(1, 2), F(1)][seed % 3]

@@ -250,6 +250,13 @@ def test_count_below_zero_is_usage_error(tmp_path, capsys, command, flag, value)
     assert flag in capsys.readouterr().err
 
 
+def test_walks_default_is_the_agent_walk_cap(monkeypatch):
+    # the parser reads the library's default when it is built
+    from penalty_planner import cli
+    monkeypatch.setattr(cli, "DEFAULT_WALK_CAP", 3)
+    assert cli.build_parser().parse_args(["simulate", "g.json"]).walks == 3
+
+
 def test_zero_walks_gives_the_verdict_only(tmp_path, capsys):
     path = tmp_path / "alice.json"
     run(capsys, "gen", "alice", "--m", "10", "-o", str(path))

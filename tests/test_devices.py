@@ -33,6 +33,7 @@ from penalty_planner import (
 )
 from oracles import (
     all_paths,
+    brute_fence,
     brute_infimum,
     brute_minmax_path,
     materialize_subgraph,
@@ -129,6 +130,21 @@ def test_required_reward_alice_chain():
 def test_required_reward_single_edge():
     g = TaskGraph(2, [(0, 1, 5)], 0, 1)
     assert fence_required_reward(g, F(1, 2), [0, 1]) == 10
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_fence_matches_enumeration_oracle(seed):
+    # odd seeds draw costs in {0, 1}: on-path and straying edges often tie
+    beta = [F(1, 5), F(1, 2), F(2, 3), F(1)][seed % 4]
+    costs = {"max_numerator": 1, "max_denominator": 1} if seed % 2 else {}
+    g = gen_random(2 + seed % 8, 0.55, beta, seed=1700 + seed, **costs).graph
+    rng = random.Random(seed)
+    paths = all_paths(g)
+    eps = F(rng.randint(1, 5), rng.randint(1, 7))
+    for path in rng.sample(paths, min(3, len(paths))):
+        assert fence_required_reward(g, beta, path) == brute_fence(g, beta, path, 0)[1]
+        margin = beta * eps / max(1, len(path) - 2)
+        assert path_and_fence(g, beta, path, eps).extra == brute_fence(g, beta, path, margin)[0]
 
 
 def test_required_reward_is_limit_of_fenced_min_rewards():
@@ -401,6 +417,16 @@ def test_emulate_rejects_disconnection_and_unknown_edges():
         emulate_subgraph(g, [(0, 1)], 6)
     with pytest.raises(UnknownEdgeError):
         emulate_subgraph(g, [(2, 0)], 6)
+
+
+@pytest.mark.parametrize("reward", [-1, F(-1, 2), -6])
+def test_emulate_rejects_negative_reward(reward):
+    # reward -1 used to give extras of 0: a configuration that prohibits nothing
+    g = alice(4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        emulate_subgraph(g, [(i, i + 1) for i in range(4)], reward)
+    assert emulate_subgraph(g, [(i, i + 1) for i in range(4)], 0).extra == {
+        (i, 4): F(1) for i in range(3)}
 
 
 @pytest.mark.parametrize("seed", range(20))

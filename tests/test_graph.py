@@ -263,6 +263,15 @@ def test_lowest_perceived_rejects_target():
         lowest_perceived(g, None, F(1, 2), g.target)
 
 
+@pytest.mark.parametrize("node", [-1, -2, 7, 99])
+def test_lowest_perceived_rejects_node_out_of_range(node):
+    # negative ids used to wrap around to another node's answer
+    g = gen_noopt(F(1, 2)).graph
+    assert g.n == 7
+    with pytest.raises(ValueError, match="out of range"):
+        lowest_perceived(g, None, F(1, 2), node)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_zeta_between_discounted_and_full_distance(seed):
     beta = [F(1, 5), F(1, 3), F(2, 3), F(1)][seed % 4]
@@ -318,6 +327,14 @@ def test_preprocess_idempotent_on_random_graphs(seed, n):
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         TaskGraph(2, [(0, 1, 0)], 0, 1, labels=["a", "a"])
+
+
+@pytest.mark.parametrize("label", [5, 1.5, b"a"])
+def test_labels_must_be_strings(label):
+    with pytest.raises(ValueError, match="not a string"):
+        TaskGraph(2, [(0, 1, 1)], 0, 1, [label, None])
+    with pytest.raises(ValueError, match="not a string"):
+        TaskGraph(2, [(0, 1, 1)], 0, 1, ["a", label])
 
 
 def test_configuration_normalizes_zero_entries():
