@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .agent import DEFAULT_WALK_CAP, WalkReport, is_motivating, min_motivating_reward
+from .agent import DEFAULT_WALK_CAP, is_motivating, min_motivating_reward
 from .devices import (
     DEFAULT_EDGE_BUDGET,
     DEFAULT_PATH_BUDGET,
@@ -69,32 +69,6 @@ def _read_text(path: str) -> str:
         raise PlannerError(f"cannot read {path}: {exc}") from None
 
 
-def _deliver(args, payload: dict, lines: list, text: str) -> None:
-    """Route a produced document to -o, or to stdout.
-
-    Without -o the document itself becomes the output: the human report is
-    dropped so stdout stays parseable, and in JSON mode the document rides
-    inside the payload instead.
-    """
-    if args.output in (None, "-"):
-        if getattr(args, "json", False):
-            payload["document"] = text
-        else:
-            sys.stdout.write(text)
-            lines.clear()
-        return
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise PlannerError(f"cannot write {args.output}: {exc}") from None
-    lines.append(f"wrote {args.output}")
-
-
-def _load(path: str, *, check: bool = True) -> tuple[Instance, CostConfiguration | None]:
-    return parse(_read_text(path), check=check)
-
-
 def _node_names(graph: TaskGraph, nodes) -> list[str]:
     return [graph.describe_node(v) for v in nodes]
 
@@ -115,33 +89,6 @@ def _resolve_path(graph: TaskGraph, text: str) -> list[int]:
     return nodes
 
 
-def _walks_payload(graph: TaskGraph, report: WalkReport) -> dict:
-    return {
-        "motivating": report.motivating,
-        "reward": format_rational(report.reward),
-        "reachable": _node_names(graph, sorted(report.reachable)),
-        "abandon_nodes": _node_names(graph, sorted(report.abandon_nodes)),
-        "walks": [_node_names(graph, walk) for walk in report.walks],
-        "walks_truncated": report.truncated,
-    }
-
-
-def _walks_human(graph: TaskGraph, report: WalkReport) -> list[str]:
-    lines = [
-        f"motivating: {'yes' if report.motivating else 'no'}",
-        f"reward:     {format_rational(report.reward)}",
-        "reachable:  " + " ".join(_node_names(graph, sorted(report.reachable))),
-    ]
-    if report.abandon_nodes:
-        lines.append("abandons at: "
-                     + " ".join(_node_names(graph, sorted(report.abandon_nodes))))
-    suffix = " (truncated)" if report.truncated else ""
-    lines.append(f"walks ({len(report.walks)}){suffix}:")
-    for walk in report.walks:
-        lines.append("  " + " -> ".join(_node_names(graph, walk)))
-    return lines
-
-
 def _config_payload(config: CostConfiguration, graph: TaskGraph) -> list[dict]:
     return [
         {"from": graph.describe_node(u), "to": graph.describe_node(v),
@@ -152,9 +99,13 @@ def _config_payload(config: CostConfiguration, graph: TaskGraph) -> list[dict]:
 
 # -- command handlers ---------------------------------------------------------
 
+# what a handler returns: the --json payload, the human report's lines, and
+# the document the command produces (None if it produces none)
+Output = tuple[dict, list[str], str | None]
 
-def _cmd_validate(args) -> tuple[dict, list[str]]:
-    instance, _ = _load(args.file, check=False)
+
+def _cmd_validate(args) -> Output:
+    instance, _ = parse(_read_text(args.file), check=False)
     violations = validate(instance.graph)
     payload = {
         "valid": not violations,
@@ -162,35 +113,51 @@ def _cmd_validate(args) -> tuple[dict, list[str]]:
     }
     lines = ["valid" if not violations else "invalid:"]
     lines.extend(f"  [{v.kind}] {v.message}" for v in violations)
-    return payload, lines
+    return payload, lines, None
 
 
-def _cmd_simulate(args) -> tuple[dict, list[str]]:
-    instance, config = _load(args.file)
+def _cmd_simulate(args) -> Output:
+    instance, config = parse(_read_text(args.file))
     reward = args.reward if args.reward is not None else instance.reward
     if reward is None:
         raise PlannerError("no reward: pass --reward or store one in the instance")
-    report = is_motivating(instance.graph, config, instance.beta, reward,
-                           walk_cap=args.walks)
-    return _walks_payload(instance.graph, report), _walks_human(instance.graph, report)
+    graph = instance.graph
+    report = is_motivating(graph, config, instance.beta, reward, walk_cap=args.walks)
+    payload = {
+        "motivating": report.motivating,
+        "reward": format_rational(report.reward),
+        "reachable": _node_names(graph, sorted(report.reachable)),
+        "abandon_nodes": _node_names(graph, sorted(report.abandon_nodes)),
+        "walks": [_node_names(graph, walk) for walk in report.walks],
+        "walks_truncated": report.truncated,
+    }
+    lines = [
+        f"motivating: {'yes' if report.motivating else 'no'}",
+        f"reward:     {payload['reward']}",
+        "reachable:  " + " ".join(payload["reachable"]),
+    ]
+    if report.abandon_nodes:
+        lines.append("abandons at: " + " ".join(payload["abandon_nodes"]))
+    suffix = " (truncated)" if report.truncated else ""
+    lines.append(f"walks ({len(report.walks)}){suffix}:")
+    lines.extend("  " + " -> ".join(walk) for walk in payload["walks"])
+    return payload, lines, None
 
 
-def _cmd_min_reward(args) -> tuple[dict, list[str]]:
-    instance, config = _load(args.file)
+def _cmd_min_reward(args) -> Output:
+    instance, config = parse(_read_text(args.file))
     value = min_motivating_reward(instance.graph, config, instance.beta)
     payload = {"min_motivating_reward": format_rational(value)}
-    return payload, [f"min motivating reward: {format_rational(value)}"]
+    return payload, [f"min motivating reward: {format_rational(value)}"], None
 
 
-def _cmd_fence(args) -> tuple[dict, list[str]]:
-    instance, _ = _load(args.file)
+def _cmd_fence(args) -> Output:
+    instance, _ = parse(_read_text(args.file))
     graph = instance.graph
     nodes = _resolve_path(graph, args.path)
     config = path_and_fence(graph, instance.beta, nodes, args.epsilon)
     fenced_min = min_motivating_reward(graph, config, instance.beta)
     limit = fence_required_reward(graph, instance.beta, nodes)
-    out = serialize(Instance(graph=graph, beta=instance.beta, reward=fenced_min,
-                             annotations=instance.annotations), config)
     payload = {
         "path": _node_names(graph, nodes),
         "epsilon": format_rational(args.epsilon),
@@ -203,12 +170,13 @@ def _cmd_fence(args) -> tuple[dict, list[str]]:
         f"min motivating reward: {format_rational(fenced_min)}",
         f"limit as epsilon -> 0: {format_rational(limit)}",
     ]
-    _deliver(args, payload, lines, out)
-    return payload, lines
+    return payload, lines, serialize(
+        Instance(graph=graph, beta=instance.beta, reward=fenced_min,
+                 annotations=instance.annotations), config)
 
 
-def _cmd_approx(args) -> tuple[dict, list[str]]:
-    instance, _ = _load(args.file)
+def _cmd_approx(args) -> Output:
+    instance, _ = parse(_read_text(args.file))
     graph = instance.graph
     result = minmax_path_approx(graph, instance.beta)
     payload = {
@@ -226,16 +194,16 @@ def _cmd_approx(args) -> tuple[dict, list[str]]:
         f"(verified: {'yes' if result.verification.motivating else 'NO'})",
         f"no scheme below rho/beta = {format_rational(result.lower_bound)}",
     ]
+    document = None
     if args.output:  # replayable instance+scheme document on request
-        _deliver(args, payload, lines, serialize(
-            Instance(graph=graph, beta=instance.beta,
-                     reward=result.guaranteed_reward,
-                     annotations=instance.annotations), result.config))
-    return payload, lines
+        document = serialize(Instance(graph=graph, beta=instance.beta,
+                                      reward=result.guaranteed_reward,
+                                      annotations=instance.annotations), result.config)
+    return payload, lines, document
 
 
-def _cmd_exact(args) -> tuple[dict, list[str]]:
-    instance, _ = _load(args.file)
+def _cmd_exact(args) -> Output:
+    instance, _ = parse(_read_text(args.file))
     graph = instance.graph
     result = exact_infimum(graph, instance.beta, path_budget=args.budget)
     payload = {
@@ -256,10 +224,10 @@ def _cmd_exact(args) -> tuple[dict, list[str]]:
     if result.exhausted:
         lines.append(f"warning: path budget hit after {result.paths_evaluated} paths; "
                      "value is an upper bound only")
-    return payload, lines
+    return payload, lines, None
 
 
-def _cmd_reduce3sat(args) -> tuple[dict, list[str]]:
+def _cmd_reduce3sat(args) -> Output:
     formula = parse_dimacs(_read_text(args.cnf))
     meta = sat_to_mcc(formula, args.beta, epsilon=args.epsilon, gap=args.gap)
     instance = Instance(graph=meta.graph, beta=meta.beta, reward=meta.reward,
@@ -282,12 +250,11 @@ def _cmd_reduce3sat(args) -> tuple[dict, list[str]]:
     if meta.gap_threshold is not None:
         lines.append("gap variant: unsatisfiable formulas stay above "
                      + format_rational(meta.gap_threshold))
-    _deliver(args, payload, lines, serialize(instance))
-    return payload, lines
+    return payload, lines, serialize(instance)
 
 
-def _cmd_assign2config(args) -> tuple[dict, list[str]]:
-    instance, _ = _load(args.file)
+def _cmd_assign2config(args) -> Output:
+    instance, _ = parse(_read_text(args.file))
     meta = meta_from_instance(instance)
     config = assignment_to_config(meta, args.tau)
     report = is_motivating(meta.graph, config, meta.beta, meta.reward)
@@ -300,33 +267,22 @@ def _cmd_assign2config(args) -> tuple[dict, list[str]]:
         f"assignment {args.tau}: motivating at reward "
         f"{format_rational(meta.reward)}: {'yes' if report.motivating else 'no'}",
     ]
-    _deliver(args, payload, lines, serialize(instance, config))
-    return payload, lines
+    return payload, lines, serialize(instance, config)
 
 
-def _cmd_config2assign(args) -> tuple[dict, list[str]]:
-    instance, config = _load(args.file)
+def _cmd_config2assign(args) -> Output:
+    instance, config = parse(_read_text(args.file))
     meta = meta_from_instance(instance)
     tau = config_to_assignment(meta, config)
     text = "".join("T" if tau[k] else "F" for k in sorted(tau))
     satisfied = meta.formula.satisfied_by(tau)
     payload = {"assignment": text, "satisfies_formula": satisfied}
     return payload, [f"assignment: {text}",
-                     f"satisfies the formula: {'yes' if satisfied else 'no'}"]
+                     f"satisfies the formula: {'yes' if satisfied else 'no'}"], None
 
 
-def _cmd_gen(args) -> tuple[dict, list[str]]:
-    if args.family == "alice":
-        instance = gen_alice(args.m, args.beta, args.reward)
-    elif args.family == "ratio":
-        instance = gen_ratio(args.beta, args.epsilon)
-    elif args.family == "noopt":
-        instance = gen_noopt(args.beta)
-    else:
-        instance = gen_random(args.n, args.density, args.beta,
-                              max_numerator=args.max_numerator,
-                              max_denominator=args.max_denominator,
-                              seed=args.seed)
+def _cmd_gen(args) -> Output:
+    instance = args.generate(args)
     payload = {
         "family": args.family,
         "nodes": instance.graph.n,
@@ -335,25 +291,19 @@ def _cmd_gen(args) -> tuple[dict, list[str]]:
     }
     lines = [f"generated {args.family}: {instance.graph.n} nodes, "
              f"{len(instance.graph.edges)} edges"]
-    _deliver(args, payload, lines, serialize(instance))
-    return payload, lines
+    return payload, lines, serialize(instance)
 
 
-def _cmd_dot(args) -> tuple[dict, list[str]]:
-    instance, config = _load(args.file)
+def _cmd_dot(args) -> Output:
+    instance, config = parse(_read_text(args.file))
     highlight = None
     if args.highlight:
         highlight = _resolve_path(instance.graph, args.highlight)
-    text = to_dot(instance, config, highlight)
-    payload: dict = {}
-    lines: list = []
-    _deliver(args, payload, lines, text)
-    payload.setdefault("document", text)
-    return payload, lines
+    return {}, [], to_dot(instance, config, highlight)
 
 
-def _cmd_compare(args) -> tuple[dict, list[str]]:
-    instance, _ = _load(args.file)
+def _cmd_compare(args) -> Output:
+    instance, _ = parse(_read_text(args.file))
     graph = instance.graph
     beta = instance.beta
     inf_result = exact_infimum(graph, beta, path_budget=args.budget)
@@ -380,7 +330,7 @@ def _cmd_compare(args) -> tuple[dict, list[str]]:
     ]
     if not ok:
         raise PlannerError("ratio exceeds 1/beta; this indicates a bug")
-    return payload, lines
+    return payload, lines, None
 
 
 # -- parser -------------------------------------------------------------------
@@ -394,41 +344,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    def add(subparsers, name, func, help_text):
+        sp = subparsers.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
         return sp
 
-    sp = add("validate", _cmd_validate, "check task-graph invariants")
+    sp = add(sub, "validate", _cmd_validate, "check task-graph invariants")
     sp.add_argument("file")
 
-    sp = add("simulate", _cmd_simulate, "simulate the agent for a reward")
+    sp = add(sub, "simulate", _cmd_simulate, "simulate the agent for a reward")
     sp.add_argument("file")
     sp.add_argument("--reward", type=_rational_arg, default=None)
     sp.add_argument("--walks", type=_int_at_least(0), default=DEFAULT_WALK_CAP,
                     help="cap on enumerated walks (default %(default)s)")
 
-    sp = add("min-reward", _cmd_min_reward, "minimum motivating reward")
+    sp = add(sub, "min-reward", _cmd_min_reward, "minimum motivating reward")
     sp.add_argument("file")
 
-    sp = add("fence", _cmd_fence, "fence a path with penalties")
+    sp = add(sub, "fence", _cmd_fence, "fence a path with penalties")
     sp.add_argument("file")
     sp.add_argument("--path", required=True,
                     help="comma-separated node labels (or ids)")
     sp.add_argument("--epsilon", type=_rational_arg, required=True)
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("approx", _cmd_approx, "factor-2 penalty scheme")
+    sp = add(sub, "approx", _cmd_approx, "factor-2 penalty scheme")
     sp.add_argument("file")
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("exact", _cmd_exact, "exact infimum over penalty schemes")
+    sp = add(sub, "exact", _cmd_exact, "exact infimum over penalty schemes")
     sp.add_argument("file")
     sp.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_PATH_BUDGET)
 
-    sp = add("reduce3sat", _cmd_reduce3sat, "3-SAT formula to task graph")
+    sp = add(sub, "reduce3sat", _cmd_reduce3sat, "3-SAT formula to task graph")
     sp.add_argument("cnf", help="DIMACS CNF file")
     sp.add_argument("--beta", type=_rational_arg, required=True)
     sp.add_argument("--epsilon", type=_rational_arg, default=None)
@@ -436,39 +386,43 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inapproximability-gap variant")
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("assign2config", _cmd_assign2config,
+    sp = add(sub, "assign2config", _cmd_assign2config,
              "penalty scheme from a truth assignment")
     sp.add_argument("file", help="instance produced by reduce3sat")
     sp.add_argument("--tau", required=True, help="assignment, e.g. TFT")
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("config2assign", _cmd_config2assign,
+    sp = add(sub, "config2assign", _cmd_config2assign,
              "truth assignment from a penalty scheme")
     sp.add_argument("file", help="instance with extra_costs")
 
-    sp = add("gen", _cmd_gen, "generate a named or random instance")
-    gen_sub = sp.add_subparsers(dest="family", required=True)
+    gen = sub.add_parser("gen", help="generate a named or random instance")
+    families = gen.add_subparsers(dest="family", required=True)
 
-    def add_gen(name, help_text):
-        gp = gen_sub.add_parser(name, help=help_text)
-        gp.set_defaults(func=_cmd_gen, family=name)
-        gp.add_argument("--json", action="store_true")
+    def add_gen(name, generate, help_text):
+        gp = add(families, name, _cmd_gen, help_text)
+        gp.set_defaults(generate=generate)
         gp.add_argument("-o", "--output", default=None)
         return gp
 
-    gp = add_gen("alice", "weekly chores vs one-shot bailout")
+    gp = add_gen("alice", lambda a: gen_alice(a.m, a.beta, a.reward),
+                 "weekly chores vs one-shot bailout")
     gp.add_argument("--m", type=int, required=True)
     gp.add_argument("--beta", type=_rational_arg, default=Fraction(1, 3))
     gp.add_argument("--reward", type=_rational_arg, default=Fraction(6))
 
-    gp = add_gen("ratio", "penalty-vs-prohibition ratio graph")
+    gp = add_gen("ratio", lambda a: gen_ratio(a.beta, a.epsilon),
+                 "penalty-vs-prohibition ratio graph")
     gp.add_argument("--beta", type=_rational_arg, required=True)
     gp.add_argument("--epsilon", type=_rational_arg, required=True)
 
-    gp = add_gen("noopt", "seven-node graph with no optimal scheme")
+    gp = add_gen("noopt", lambda a: gen_noopt(a.beta),
+                 "seven-node graph with no optimal scheme")
     gp.add_argument("--beta", type=_rational_arg, required=True)
 
-    gp = add_gen("random", "seeded random DAG")
+    gp = add_gen("random", lambda a: gen_random(
+        a.n, a.density, a.beta, max_numerator=a.max_numerator,
+        max_denominator=a.max_denominator, seed=a.seed), "seeded random DAG")
     gp.add_argument("--n", type=int, required=True)
     gp.add_argument("--density", type=float, required=True)
     gp.add_argument("--beta", type=_rational_arg, default=Fraction(1, 2))
@@ -476,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--max-denominator", type=int, default=64)
     gp.add_argument("--seed", type=int, default=0)
 
-    sp = add("dot", _cmd_dot, "DOT rendering of an instance")
+    sp = add(sub, "dot", _cmd_dot, "DOT rendering of an instance")
     sp.add_argument("file")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--highlight", default=None,
                     help="comma-separated path to emphasize")
 
-    sp = add("compare", _cmd_compare,
+    sp = add(sub, "compare", _cmd_compare,
              "penalty infimum vs prohibition optimum vs the 1/beta bound")
     sp.add_argument("file")
     sp.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_PATH_BUDGET)
@@ -492,33 +446,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and deliver its output.
+
+    A produced document goes to -o; without -o it is itself the output (the
+    human report is dropped so stdout stays parseable), and under --json it
+    rides in the payload instead.
+    """
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        payload, lines = args.func(args)
+        payload, lines, document = args.func(args)
+        if document is not None:
+            if args.output not in (None, "-"):
+                try:
+                    with open(args.output, "w", encoding="utf-8") as fh:
+                        fh.write(document)
+                except OSError as exc:
+                    raise PlannerError(f"cannot write {args.output}: {exc}") from None
+                lines.append(f"wrote {args.output}")
+            elif args.json:
+                payload["document"] = document
+            else:
+                sys.stdout.write(document)
+                lines = []
     except (PlannerError, ValueError) as exc:
-        if getattr(args, "json", False):
-            report = {
-                "command": args.command,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            print(json.dumps(report, sort_keys=True, indent=2))
-        else:
+        if not args.json:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - started
-    if getattr(args, "json", False):
-        report = {
-            "command": args.command,
-            "elapsed_seconds": round(elapsed, 6),
-            "payload": payload,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
+            return 1
+        report = {"command": args.command,
+                  "error": {"type": type(exc).__name__, "message": str(exc)}}
     else:
-        for line in lines:
-            print(line)
-    return 0
+        if not args.json:
+            for line in lines:
+                print(line)
+            return 0
+        report = {"command": args.command,
+                  "elapsed_seconds": round(time.perf_counter() - started, 6),
+                  "payload": payload}
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 1 if "error" in report else 0
 
 
 if __name__ == "__main__":

@@ -274,3 +274,20 @@ def test_human_output_is_readable(tmp_path, capsys):
     assert "motivating: yes" in out
     assert "v1 -> v2" in out
     assert "walks (1):" in out
+
+
+def test_json_belongs_after_the_gen_family(capsys):
+    # the gen parser itself has no --json, so it cannot be silently dropped
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--json", "alice", "--m", "3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_dot_written_to_a_file_stays_out_of_the_payload(tmp_path, capsys):
+    src, out = tmp_path / "g.json", tmp_path / "g.dot"
+    run(capsys, "gen", "noopt", "--beta", "1/2", "-o", str(src))
+    code, payload, _ = run_json(capsys, "dot", str(src), "-o", str(out))
+    assert code == 0
+    assert payload["payload"] == {}
+    assert out.read_text().startswith("digraph")
