@@ -43,10 +43,13 @@ DEFAULT_EDGE_BUDGET = 20
 
 
 def check_path(graph: TaskGraph, path: Sequence[int]) -> tuple[int, ...]:
-    """Validate a node sequence as a source-to-target path of the graph."""
+    """Validate a node sequence as a source-to-target path of the graph.
+
+    The one-node path (source,) is valid exactly when the source is the target.
+    """
     nodes = tuple(int(v) for v in path)
-    if len(nodes) < 2:
-        raise InvalidPathError("a path needs at least two nodes")
+    if not nodes:
+        raise InvalidPathError("a path needs at least one node")
     if nodes[0] != graph.source:
         raise InvalidPathError("path must start at the source")
     if nodes[-1] != graph.target:
@@ -123,7 +126,7 @@ def fence_required_reward(graph: TaskGraph,
     b = check_bias(beta)
     nodes = check_path(graph, path)
     _, etas = _fence_on_path(graph, b, nodes, ZERO)
-    return max(etas) / b
+    return max(etas, default=ZERO) / b
 
 
 @dataclass(frozen=True)

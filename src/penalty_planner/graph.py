@@ -320,8 +320,7 @@ def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
 def validate(graph: TaskGraph) -> list[Violation]:
     """Check task-graph invariants; violations are returned, never raised.
 
-    Reported kinds: dangling-edge (impossible through the constructor, kept
-    for parsed raw data), parallel-edge, negative-cost, cycle, no-path.
+    Reported kinds: parallel-edge, negative-cost, cycle, no-path.
     """
     violations: list[Violation] = []
     seen_pairs: set[tuple[int, int]] = set()

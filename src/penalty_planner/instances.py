@@ -41,6 +41,8 @@ def gen_alice(m: int,
         raise ParameterOutOfRangeError("need at least two weeks")
     b = check_bias(beta)
     r = as_rational(reward)
+    if r < 0:
+        raise ParameterOutOfRangeError(f"reward must be nonnegative, got {r}")
     t = m  # ids: v_i -> i-1, target -> m
     edges: list[tuple[int, int, RationalLike]] = []
     for i in range(1, m):

@@ -125,10 +125,7 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
         if not 0 <= node_id < len(raw_nodes) or node_id in seen_ids:
             raise SchemaError(f"node ids must be dense and unique; offending id {node_id}")
         seen_ids.add(node_id)
-        if "label" in entry:
-            if not isinstance(entry["label"], str):
-                raise SchemaError("node label must be a string")
-            labels[node_id] = entry["label"]
+        labels[node_id] = entry.get("label")
 
     raw_edges = _require(doc, "edges", list)
     edges: list[tuple[int, int, Fraction]] = []
@@ -137,15 +134,11 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
             raise SchemaError("edges entries must be objects")
         tail = _require(entry, "from", int, "edge")
         head = _require(entry, "to", int, "edge")
-        if not (0 <= tail < len(raw_nodes) and 0 <= head < len(raw_nodes)):
-            raise SchemaError(f"edge ({tail}, {head}) references unknown node")
         cost = parse_rational(_require(entry, "cost", object, "edge"), "edge cost")
         edges.append((tail, head, cost))
 
     source = _require(doc, "source", int)
     target = _require(doc, "target", int)
-    if not (0 <= source < len(raw_nodes) and 0 <= target < len(raw_nodes)):
-        raise SchemaError("source/target id out of range")
     beta_raw = parse_rational(_require(doc, "beta", object), "beta")
     if not 0 < beta_raw <= 1:
         raise SchemaError(f"beta must lie in (0, 1], got {beta_raw}")
@@ -153,6 +146,8 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
     reward = None
     if "reward" in doc:
         reward = parse_rational(doc["reward"], "reward")
+        if reward < 0:
+            raise SchemaError(f"reward must be nonnegative, got {reward}")
 
     annotations = None
     if "annotations" in doc:
@@ -160,6 +155,8 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
             raise SchemaError("annotations must be an object")
         annotations = doc["annotations"]
 
+    # the constructors check node ids, labels and extras: a ValueError there
+    # is a SchemaError here
     try:
         graph = TaskGraph(len(raw_nodes), edges, source, target, labels)
     except ValueError as exc:
@@ -176,15 +173,17 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
                 raise SchemaError("extra_costs entries must be objects")
             tail = _require(entry, "from", int, "extra")
             head = _require(entry, "to", int, "extra")
+            # checked here: CostConfiguration drops a zero extra before check_for sees it
             if not graph.has_edge(tail, head):
                 raise SchemaError(f"extra cost on missing edge ({tail}, {head})")
             value = parse_rational(_require(entry, "extra", object, "extra"), "extra cost")
-            if value < 0:
-                raise SchemaError(f"extra cost on ({tail}, {head}) is negative")
             if (tail, head) in extra:
                 raise SchemaError(f"duplicate extra cost for edge ({tail}, {head})")
             extra[(tail, head)] = value
-        config = CostConfiguration(extra)
+        try:
+            config = CostConfiguration(extra)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
 
     if check:
         violations = validate(graph)

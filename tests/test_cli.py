@@ -291,3 +291,13 @@ def test_dot_written_to_a_file_stays_out_of_the_payload(tmp_path, capsys):
     assert code == 0
     assert payload["payload"] == {}
     assert out.read_text().startswith("digraph")
+
+
+def test_negative_reward_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "alice.json"
+    code, out, err = run(capsys, "gen", "alice", "--m", "3", "--reward", "-1",
+                         "-o", str(path))
+    assert code == 1
+    assert out == ""
+    assert "reward must be nonnegative" in err
+    assert not path.exists()

@@ -8,6 +8,7 @@ import pytest
 
 from penalty_planner import (
     BudgetExceededError,
+    CostConfiguration,
     DisconnectedError,
     InvalidPathError,
     TaskGraph,
@@ -59,7 +60,18 @@ def test_check_path_errors():
     with pytest.raises(InvalidPathError):
         path_and_fence(g, F(1, 3), [0, 2, 4], 1)          # missing edge
     with pytest.raises(InvalidPathError):
-        path_and_fence(g, F(1, 3), [0], 1)
+        path_and_fence(g, F(1, 3), [0], 1)               # source is not the target
+    for path in ([0], []):
+        with pytest.raises(InvalidPathError):
+            fence_required_reward(g, F(1, 3), path)
+
+
+def test_one_node_instance_fences_its_own_witness():
+    g = TaskGraph(1, [], 0, 0)
+    result = exact_infimum(g, F(1, 2))
+    assert (result.value, result.path) == (0, (0,))
+    assert fence_required_reward(g, F(1, 2), result.path) == 0
+    assert path_and_fence(g, F(1, 2), result.path, F(1, 10)) == CostConfiguration.zero()
 
 
 # -- path_and_fence -----------------------------------------------------------

@@ -50,6 +50,12 @@ def test_alice_rejects_tiny_m():
         gen_alice(1)
 
 
+def test_alice_rejects_negative_reward():
+    with pytest.raises(ParameterOutOfRangeError):
+        gen_alice(3, F(1, 3), -1)
+    assert gen_alice(3, F(1, 3), 0).reward == 0
+
+
 def test_ratio_node_count_at_benchmark_parameters():
     inst = gen_ratio(F(1, 2), F(1, 2))
     assert math.ceil(F(1, F(1, 4) * F(1, 2) * F(1, 4))) == 32

@@ -219,6 +219,27 @@ def test_parse_rejects_extra_cost_on_missing_edge():
         parse(json.dumps(doc))
 
 
+def test_parse_rejects_negative_reward():
+    doc = json.loads(serialize(gen_alice(3)))
+    doc["reward"] = "-1"
+    with pytest.raises(SchemaError, match="reward must be nonnegative"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("edges", [{"from": 0, "to": 4, "cost": "1"}]),   # endpoint out of range
+    ("target", 4),                                    # target out of range
+    ("nodes", [{"id": 0, "label": 7}, {"id": 1}, {"id": 2}, {"id": 3}]),
+    ("extra_costs", [{"from": 0, "to": 1, "extra": "-1/2"}]),
+])
+def test_parse_turns_constructor_errors_into_schema_errors(key, value):
+    # TaskGraph and CostConfiguration make these checks; parse reports them
+    doc = json.loads(serialize(gen_alice(3)))
+    doc[key] = value
+    with pytest.raises(SchemaError):
+        parse(json.dumps(doc))
+
+
 def test_parse_rejects_sparse_node_ids():
     doc = json.loads(serialize(gen_alice(3)))
     doc["nodes"][0]["id"] = 17
