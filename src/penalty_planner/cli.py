@@ -83,9 +83,12 @@ def _resolve_path(graph: TaskGraph, text: str) -> list[int]:
             nodes.append(graph.node_by_label(token))
         except KeyError:
             try:
-                nodes.append(int(token))
+                v = int(token)
             except ValueError:
-                raise PlannerError(f"unknown node {token!r}") from None
+                v = -1  # neither a label nor an id
+            if not 0 <= v < graph.n:
+                raise PlannerError(f"unknown node {token!r}")
+            nodes.append(v)
     return nodes
 
 
@@ -207,20 +210,17 @@ def _cmd_exact(args) -> Output:
     graph = instance.graph
     result = exact_infimum(graph, instance.beta, path_budget=args.budget)
     payload = {
-        "infimum": None if result.value is None else format_rational(result.value),
-        "witness_path": None if result.path is None else _node_names(graph, result.path),
+        "infimum": format_rational(result.value),
+        "witness_path": _node_names(graph, result.path),
         "exhausted": result.exhausted,
         "paths_evaluated": result.paths_evaluated,
         "expansions": result.expansions,
     }
-    lines = []
-    if result.value is None:
-        lines.append("budget exhausted before any path was evaluated")
-    else:
-        lines.append(f"infimum of motivating rewards: {format_rational(result.value)}")
-        lines.append("witness path: " + " -> ".join(_node_names(graph, result.path)))
-        lines.append("(the infimum is approached by fences of the witness; "
-                     "it may not be attained)")
+    lines = [
+        f"infimum of motivating rewards: {format_rational(result.value)}",
+        "witness path: " + " -> ".join(payload["witness_path"]),
+        "(the infimum is approached by fences of the witness; it may not be attained)",
+    ]
     if result.exhausted:
         lines.append(f"warning: path budget hit after {result.paths_evaluated} paths; "
                      "value is an upper bound only")
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = add_gen("alice", lambda a: gen_alice(a.m, a.beta, a.reward),
                  "weekly chores vs one-shot bailout")
-    gp.add_argument("--m", type=int, required=True)
+    gp.add_argument("--m", type=_int_at_least(2), required=True)
     gp.add_argument("--beta", type=_rational_arg, default=Fraction(1, 3))
     gp.add_argument("--reward", type=_rational_arg, default=Fraction(6))
 
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = add_gen("random", lambda a: gen_random(
         a.n, a.density, a.beta, max_numerator=a.max_numerator,
         max_denominator=a.max_denominator, seed=a.seed), "seeded random DAG")
-    gp.add_argument("--n", type=int, required=True)
+    gp.add_argument("--n", type=_int_at_least(2), required=True)
     gp.add_argument("--density", type=float, required=True)
     gp.add_argument("--beta", type=_rational_arg, default=Fraction(1, 2))
     gp.add_argument("--max-numerator", type=int, default=8)

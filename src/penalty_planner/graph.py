@@ -173,7 +173,8 @@ class TaskGraph:
             raise KeyError(f"no node labeled {label!r}") from None
 
     def describe_node(self, v: int) -> str:
-        lab = self.labels[v]
+        """The node's label, or its id; an id outside 0..n-1 by its number."""
+        lab = self.labels[v] if 0 <= v < self.n else None
         return lab if lab is not None else str(v)
 
     # -- structure ---------------------------------------------------------

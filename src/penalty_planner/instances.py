@@ -133,30 +133,16 @@ def gen_random(n: int,
     def rand_cost() -> Fraction:
         return Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
 
-    present: set[tuple[int, int]] = set()
-    succ: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int, RationalLike]] = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < dens:
-                present.add((i, j))
-                succ[i].append(j)
                 edges.append((i, j, rand_cost()))
-
-    # guarantee source-to-target connectivity via the chain spine
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        for c in succ[frontier.pop()]:
-            if c not in reach:
-                reach.add(c)
-                frontier.append(c)
-    if n - 1 not in reach:
-        for i in range(n - 1):
-            if (i, i + 1) not in present:
-                present.add((i, i + 1))
-                edges.append((i, i + 1, rand_cost()))
 
     labels = ["s"] + [f"n{i}" for i in range(1, n - 1)] + ["t"]
     graph = TaskGraph(n, edges, source=0, target=n - 1, labels=labels)
+    # guarantee source-to-target connectivity via the chain spine
+    if n - 1 not in graph.reachable_from(0):
+        edges += [(i, i + 1, rand_cost()) for i in range(n - 1) if not graph.has_edge(i, i + 1)]
+        graph = TaskGraph(n, edges, source=0, target=n - 1, labels=labels)
     return Instance(graph=preprocess(graph), beta=b, reward=None)

@@ -250,6 +250,31 @@ def test_count_below_zero_is_usage_error(tmp_path, capsys, command, flag, value)
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "alice", "--m", "1"], "--m"), (["gen", "alice", "--m", "-2"], "--m"),
+    (["gen", "random", "--n", "0", "--density", "0.5"], "--n"),
+    (["gen", "random", "--n", "1", "--density", "0.5"], "--n"),
+])
+def test_generator_count_below_two_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dot", "{file}", "--highlight", "0,{bad}"],
+    ["fence", "{file}", "--path", "0,{bad},t", "--epsilon", "1/10"],
+])
+@pytest.mark.parametrize("bad", ["99", "-1", "x"])
+def test_node_ids_outside_the_graph_are_unknown(tmp_path, capsys, argv, bad):
+    path = tmp_path / "alice.json"
+    run(capsys, "gen", "alice", "--m", "3", "-o", str(path))
+    code, out, err = run(capsys, *(arg.format(file=path, bad=bad) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown node '{bad}'\n"
+
+
 def test_walks_default_is_the_agent_walk_cap(monkeypatch):
     # the parser reads the library's default when it is built
     from penalty_planner import cli

@@ -15,6 +15,7 @@ from penalty_planner import (
     UnknownEdgeError,
     brute_subgraph_opt,
     build_view,
+    check_path,
     cheapest_costs,
     emulate_subgraph,
     exact_infimum,
@@ -28,6 +29,7 @@ from penalty_planner import (
     minmax_path,
     minmax_path_approx,
     path_and_fence,
+    perceived_cost,
     reachable_by_ties,
     successor_map,
     tie_walk,
@@ -36,6 +38,7 @@ from oracles import (
     all_paths,
     brute_fence,
     brute_infimum,
+    brute_min_reward,
     brute_minmax_path,
     materialize_subgraph,
     random_config,
@@ -66,10 +69,26 @@ def test_check_path_errors():
             fence_required_reward(g, F(1, 3), path)
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+def test_ids_outside_the_graph_are_named_by_their_number(bad):
+    # alice(4): v1..v4 are ids 0..3 and t is 4; -1 must not read as t
+    g = alice(4)
+    with pytest.raises(InvalidPathError, match=f"^missing edge v1 -> {bad}$"):
+        check_path(g, [0, bad, 4])
+    with pytest.raises(UnknownEdgeError, match=f"^no edge {bad} -> v1$"):
+        perceived_cost(g, None, F(1, 3), (bad, 0))
+    with pytest.raises(UnknownEdgeError, match=f"^no edge v2 -> {bad}$"):
+        g.cost(1, bad)
+    with pytest.raises(UnknownEdgeError, match=rf"^kept edge \({bad}, 1\) is not in the graph$"):
+        emulate_subgraph(g, [(bad, 1)], 6)
+
+
 def test_one_node_instance_fences_its_own_witness():
     g = TaskGraph(1, [], 0, 0)
     result = exact_infimum(g, F(1, 2))
     assert (result.value, result.path) == (0, (0,))
+    # the bare target is scored and expanded, as the main loop counts it
+    assert (result.paths_evaluated, result.expansions, result.exhausted) == (1, 1, False)
     assert fence_required_reward(g, F(1, 2), result.path) == 0
     assert path_and_fence(g, F(1, 2), result.path, F(1, 10)) == CostConfiguration.zero()
 
@@ -248,6 +267,20 @@ def test_exact_infimum_witness_is_first_optimal_path_in_search_order(seed):
     result = exact_infimum(g, beta)
     assert result.value == best
     assert result.path == min(optimal, key=lambda p: p[::-1])
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_exact_infimum_always_returns_a_scored_witness(seed):
+    # the smallest budget stops only after a scored path, so a cut run
+    # still has a value and a witness, and the witness's fence gives it
+    beta = [F(1, 5), F(1, 2), F(2, 3), F(1)][seed % 4]
+    costs = {"max_numerator": 1, "max_denominator": 1} if seed % 2 else {}
+    g = gen_random(2 + seed % 12, 0.5, beta, seed=2100 + seed, **costs).graph
+    for budget in (1, 2, 3):
+        result = exact_infimum(g, beta, path_budget=budget)
+        assert result.value is not None and result.path is not None
+        assert 1 <= result.paths_evaluated <= budget
+        assert fence_required_reward(g, beta, result.path) == result.value
 
 
 def test_exact_infimum_budget_flag():
@@ -499,15 +532,18 @@ def test_brute_cuts_early_shortcuts_on_tiny_temptation_graph():
     assert (1, hub) not in result.kept_edges
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(24))
 def test_brute_matches_materialized_enumeration(seed):
     beta = [F(1, 3), F(1, 2), F(4, 5)][seed % 3]
-    g = gen_random(4 + seed % 3, 0.6, beta, seed=1300 + seed).graph
+    # seeds from 12 on draw costs in {0, 1}, at a density whose draws all
+    # stay within the oracle's nine edges: many ties inside each subgraph
+    costs = {"max_numerator": 1, "max_denominator": 1} if seed >= 12 else {}
+    g = gen_random(4 + seed % 3, 0.55 if costs else 0.6, beta, seed=1300 + seed, **costs).graph
     if len(g.edges) > 9:
         pytest.skip("oracle too slow for this draw")
     result = brute_subgraph_opt(g, beta)
     pairs = [(e.tail, e.head) for e in g.edges]
-    best = None
+    best = brute_best = None
     for mask in range(1 << len(pairs)):
         kept = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         try:
@@ -517,7 +553,11 @@ def test_brute_matches_materialized_enumeration(seed):
         value = min_motivating_reward(sub, None, beta)
         if best is None or value < best:
             best = value
-    assert result.value == best
+        # path enumeration, without the agent's tie closure
+        brute_value, _ = brute_min_reward(sub, None, beta)
+        if brute_best is None or brute_value < brute_best:
+            brute_best = brute_value
+    assert result.value == best == brute_best
 
 
 def test_brute_respects_ratio_bound():
