@@ -59,6 +59,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _density(text: str) -> float:
+    """An argparse type: an edge probability in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -424,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
         a.n, a.density, a.beta, max_numerator=a.max_numerator,
         max_denominator=a.max_denominator, seed=a.seed), "seeded random DAG")
     gp.add_argument("--n", type=_int_at_least(2), required=True)
-    gp.add_argument("--density", type=float, required=True)
+    gp.add_argument("--density", type=_density, required=True)
     gp.add_argument("--beta", type=_rational_arg, default=Fraction(1, 2))
-    gp.add_argument("--max-numerator", type=int, default=8)
-    gp.add_argument("--max-denominator", type=int, default=64)
+    gp.add_argument("--max-numerator", type=_int_at_least(0), default=8)
+    gp.add_argument("--max-denominator", type=_int_at_least(1), default=64)
     gp.add_argument("--seed", type=int, default=0)
 
     sp = add(sub, "dot", _cmd_dot, "DOT rendering of an instance")

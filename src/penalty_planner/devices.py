@@ -281,7 +281,9 @@ def exact_infimum(graph: TaskGraph,
                 best, best_path = cand, (v, *reversed(suffix))
             continue
         # fence v, then re-evaluate v and the ancestors whose out-neighbour distances
-        # changed, in reverse topological order: in place, as a full sweep costs O(n+m)
+        # changed, in reverse topological order: in place, as a full sweep costs O(n+m).
+        # Distances only rise, so a tail's minimum can change only through an edge
+        # that attained it: a tail is queued only along a tight edge.
         for i in out_idx[v]:  # the on-path edge itself gets a bump of 0
             bump = eta_on - qcost[i] - p * dist[heads[i]]
             if bump > 0:
@@ -289,15 +291,16 @@ def exact_infimum(graph: TaskGraph,
         heap, queued, mark = [-pos[v]], {v}, len(log)
         while heap:
             u = topo[-heappop(heap)]
-            du = min(cost[i] + extra[i] + dist[heads[i]] for i in out_idx[u])
-            if du != dist[u]:
-                log.append((u, dist[u]))
+            du, old = min(cost[i] + extra[i] + dist[heads[i]] for i in out_idx[u]), dist[u]
+            if du != old:
+                log.append((u, old))
                 dist[u] = du
                 fresh = min(fresh, pos[u] - 1)
                 for i in in_idx[u]:
-                    if tails[i] not in queued:
-                        queued.add(tails[i])
-                        heappush(heap, -pos[tails[i]])
+                    t = tails[i]
+                    if t not in queued and cost[i] + extra[i] + old == dist[t]:
+                        queued.add(t)
+                        heappush(heap, -pos[t])
         if v not in frontier:
             bits, nodes = into[v] & ~anc[v], []
             while bits:

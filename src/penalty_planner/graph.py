@@ -83,7 +83,7 @@ class TaskGraph:
     """
 
     __slots__ = ("n", "labels", "edges", "source", "target",
-                 "_out", "_in", "_pair", "_topo", "_label_to_id")
+                 "_out", "_in", "_pair", "_topo", "_scaled", "_label_to_id")
 
     def __init__(
         self,
@@ -124,6 +124,7 @@ class TaskGraph:
         self._in = tuple(tuple(v) for v in inc)
         self._pair = pair
         self._topo: tuple[int, ...] | None = None
+        self._scaled: tuple[tuple[int, ...], int] | None = None  # see scaled_costs
 
         label_to_id: dict[str, int] = {}
         for i, lab in enumerate(self.labels):
@@ -302,17 +303,34 @@ _ZERO_CONFIG = CostConfiguration()
 
 
 def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
-                 ) -> tuple[list[int], int]:
+                 ) -> tuple[Sequence[int], int]:
     """`(icost, scale)`: edge i's base cost plus extra is `icost[i] / scale`,
     with `scale` the lcm of every base cost's and extra's denominator, so no
-    Fraction is added. The configuration is checked against the graph."""
+    Fraction is added. The configuration is checked against the graph.
+
+    Each graph scales its base costs once and keeps them; without extras
+    they are returned as that shared tuple. A configuration rescales a copy
+    and adds each of its entries at the entry's edge (every copy of a
+    parallel edge)."""
     cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
     cfg.check_for(graph)
-    cost = [e.cost for e in graph.edges]
-    extra = [cfg.get(e.tail, e.head) for e in graph.edges]
-    scale = lcm(*{c.denominator for c in cost}, *{x.denominator for x in extra})
-    return [c.numerator * (scale // c.denominator) + x.numerator * (scale // x.denominator)
-            for c, x in zip(cost, extra)], scale
+    if graph._scaled is None:
+        costs = [e.cost for e in graph.edges]
+        unit = lcm(*{c.denominator for c in costs})
+        graph._scaled = tuple(c.numerator * (unit // c.denominator) for c in costs), unit
+    if cfg.is_zero():
+        return graph._scaled
+    base, unit = graph._scaled
+    scale = lcm(unit, *{x.denominator for _, x in cfg.items()})
+    k = scale // unit
+    icost = list(base) if k == 1 else [c * k for c in base]
+    if len(graph._pair) == len(graph.edges):
+        at = [(graph._pair[pair], x) for pair, x in cfg.items()]
+    else:  # parallel edges: every copy pays its pair's extra
+        at = [(i, cfg.get(e.tail, e.head)) for i, e in enumerate(graph.edges)]
+    for i, x in at:
+        icost[i] += x.numerator * (scale // x.denominator)
+    return icost, scale
 
 
 # -- operations -------------------------------------------------------------

@@ -262,6 +262,25 @@ def test_generator_count_below_two_is_usage_error(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-numerator", "-1"), ("--max-denominator", "0"), ("--max-denominator", "-4"),
+    ("--density", "0"), ("--density", "1.5"), ("--density", "-0.1"),
+    ("--density", "nan"), ("--density", "dense"),
+])
+def test_random_cost_bounds_and_density_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as err:  # a repeated --density: the last one counts
+        main(["gen", "random", "--n", "5", "--density", "0.5", flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_random_cost_bounds_at_their_minimum_are_accepted(capsys):
+    code, out, _ = run(capsys, "gen", "random", "--n", "5", "--density", "1",
+                       "--max-numerator", "0", "--max-denominator", "1")
+    assert code == 0
+    assert {edge["cost"] for edge in json.loads(out)["edges"]} == {"0"}
+
+
 @pytest.mark.parametrize("argv", [
     ["dot", "{file}", "--highlight", "0,{bad}"],
     ["fence", "{file}", "--path", "0,{bad},t", "--epsilon", "1/10"],

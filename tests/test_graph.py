@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -207,11 +208,38 @@ def test_scaled_costs_are_exact(seed):
     rng = random.Random(seed)
     extra = {(e.tail, e.head): F(rng.randint(0, 9), rng.choice([1, 2, 67, 71, 73]))
              for e in g.edges if rng.random() < 0.5}
-    for cfg in (None, extra, CostConfiguration(extra)):
+    if seed % 3 == 0:
+        # a parallel copy of the first edge (which validate would report):
+        # an extra on the pair is charged to both copies
+        first = g.edges[0]
+        g = TaskGraph(g.n, [(e.tail, e.head, e.cost) for e in g.edges]
+                      + [(first.tail, first.head, F(5, 61))], g.source, g.target)
+        extra[(first.tail, first.head)] = F(3, 71)
+    # one graph object serves a configuration, then none, then another: the
+    # base costs it scaled once must not carry one call's extras into the next
+    other = {pair: x + F(1, 79) for pair, x in list(extra.items())[::2]}
+    for cfg in (extra, None, CostConfiguration(extra), other, None):
         icost, scale = scaled_costs(g, cfg)
         assert all(type(c) is int for c in icost)
         assert [F(c, scale) for c in icost] == [
             e.cost + CostConfiguration(cfg).get(e.tail, e.head) for e in g.edges]
+        # the unit is the lcm of every base and extra denominator
+        assert scale == lcm(*(e.cost.denominator for e in g.edges),
+                            *(x.denominator for x in CostConfiguration(cfg).extra.values()))
+
+
+def test_scaled_costs_results_are_independent():
+    # changing what one call returned changes nothing a later call returns
+    g = gen_random(12, 0.5, F(1, 2), seed=3).graph
+    pair = (g.edges[0].tail, g.edges[0].head)
+    for cfg in (None, {pair: F(2, 7)}, {pair: F(2, 7)}, None):
+        icost, scale = scaled_costs(g, cfg)
+        assert [F(c, scale) for c in icost] == [
+            e.cost + CostConfiguration(cfg).get(e.tail, e.head) for e in g.edges]
+        try:
+            icost[0] += 1
+        except TypeError:  # the costs without extras are shared, so immutable
+            assert cfg is None
 
 
 def test_perceived_cost_alice_examples():

@@ -273,6 +273,7 @@ def test_hard_8_vars_24_clauses_solves_in_few_expansions(seed, gap):
     (6, 16, 6, True, (14, 441)),
     (8, 24, 0, False, (26, 565)),
     (8, 24, 7, True, (21, 630)),
+    (12, 50, 2, False, (32, 7680)),
 ])
 def test_exact_search_work_is_pinned(num_vars, num_clauses, seed, gap, work):
     # (paths_evaluated, expansions) as first recorded: a prefix bound left
