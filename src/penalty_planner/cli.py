@@ -25,9 +25,18 @@ from .devices import (
     minmax_path_approx,
     path_and_fence,
 )
-from .errors import PlannerError
+from .errors import ParameterOutOfRangeError, PlannerError
 from .graph import CostConfiguration, TaskGraph, as_rational, validate
-from .instances import Instance, gen_alice, gen_noopt, gen_random, gen_ratio
+from .instances import (
+    _LEAST_MAX_DENOMINATOR,
+    _LEAST_MAX_NUMERATOR,
+    Instance,
+    _edge_density,
+    gen_alice,
+    gen_noopt,
+    gen_random,
+    gen_ratio,
+)
 from .reductions import (
     assignment_to_config,
     config_to_assignment,
@@ -60,14 +69,13 @@ def _int_at_least(low: int):
 
 
 def _density(text: str) -> float:
-    """An argparse type: an edge probability in (0, 1]."""
+    """An argparse type: gen_random's edge probability, checked by the generator."""
     try:
-        value = float(text)
+        return _edge_density(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
+    except ParameterOutOfRangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _read_text(path: str) -> str:
@@ -437,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--n", type=_int_at_least(2), required=True)
     gp.add_argument("--density", type=_density, required=True)
     gp.add_argument("--beta", type=_rational_arg, default=Fraction(1, 2))
-    gp.add_argument("--max-numerator", type=_int_at_least(0), default=8)
-    gp.add_argument("--max-denominator", type=_int_at_least(1), default=64)
+    gp.add_argument("--max-numerator", type=_int_at_least(_LEAST_MAX_NUMERATOR), default=8)
+    gp.add_argument("--max-denominator", type=_int_at_least(_LEAST_MAX_DENOMINATOR),
+                    default=64)
     gp.add_argument("--seed", type=int, default=0)
 
     sp = add(sub, "dot", _cmd_dot, "DOT rendering of an instance")

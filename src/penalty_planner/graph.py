@@ -310,8 +310,7 @@ def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
 
     Each graph scales its base costs once and keeps them; without extras
     they are returned as that shared tuple. A configuration rescales a copy
-    and adds each of its entries at the entry's edge (every copy of a
-    parallel edge)."""
+    and adds each of its entries at every edge from its tail to its head."""
     cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
     cfg.check_for(graph)
     if graph._scaled is None:
@@ -323,13 +322,11 @@ def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
     base, unit = graph._scaled
     scale = lcm(unit, *{x.denominator for _, x in cfg.items()})
     k = scale // unit
-    icost = list(base) if k == 1 else [c * k for c in base]
-    if len(graph._pair) == len(graph.edges):
-        at = [(graph._pair[pair], x) for pair, x in cfg.items()]
-    else:  # parallel edges: every copy pays its pair's extra
-        at = [(i, cfg.get(e.tail, e.head)) for i, e in enumerate(graph.edges)]
-    for i, x in at:
-        icost[i] += x.numerator * (scale // x.denominator)
+    icost = [c * k for c in base]
+    for (tail, head), x in cfg.items():
+        for i in graph._out[tail]:
+            if graph.edges[i].head == head:
+                icost[i] += x.numerator * (scale // x.denominator)
     return icost, scale
 
 

@@ -104,6 +104,18 @@ def gen_noopt(beta: RationalLike) -> Instance:
     return Instance(graph=graph, beta=b, reward=None)
 
 
+# gen_random's ranges, which the command line checks its arguments against
+_LEAST_MAX_NUMERATOR, _LEAST_MAX_DENOMINATOR = 0, 1
+
+
+def _edge_density(density: float | Fraction) -> float:
+    """gen_random's edge probability as a float; it must lie in (0, 1]."""
+    dens = float(density)
+    if not 0 < dens <= 1:
+        raise ParameterOutOfRangeError(f"density must lie in (0, 1], got {density}")
+    return dens
+
+
 def gen_random(n: int,
                density: float | Fraction,
                beta: RationalLike = Fraction(1, 2),
@@ -122,10 +134,8 @@ def gen_random(n: int,
     """
     if n < 2:
         raise ParameterOutOfRangeError("need at least two nodes")
-    dens = float(density)
-    if not 0 < dens <= 1:
-        raise ParameterOutOfRangeError(f"density must lie in (0, 1], got {density}")
-    if max_numerator < 0 or max_denominator < 1:
+    dens = _edge_density(density)
+    if max_numerator < _LEAST_MAX_NUMERATOR or max_denominator < _LEAST_MAX_DENOMINATOR:
         raise ParameterOutOfRangeError("cost bounds must be nonnegative/positive")
     b = check_bias(beta)
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
