@@ -226,10 +226,10 @@ def exact_infimum(graph: TaskGraph,
     # prefix bottleneck per node, valid for the current dist at topological
     # positions 1..fresh: the one at position x reads dist at positions <= x
     bneck, fresh = [0] * n, 0
-    suffix = [target]
     # frame: head, next in-edge, suffix maximum, log length on entry, the
     # prefix bounds of the in-edges' tails (computed once an incumbent
-    # exists), and the head's dominance key
+    # exists), and the head's dominance key; the heads, top first, are the
+    # current suffix
     stack: list[list] = [[target, 0, 0, 0, None, None]]
     while stack:
         frame = stack[-1]
@@ -237,7 +237,6 @@ def exact_infimum(graph: TaskGraph,
         ins = in_idx[head]
         if k == len(ins):  # backtrack: the subtree is fully searched (or skipped)
             stack.pop()
-            suffix.pop()
             for i in out_idx[head]:
                 extra[i] = 0
             for u, old in reversed(log[mark:]):
@@ -278,7 +277,7 @@ def exact_infimum(graph: TaskGraph,
                 break
             evaluated += 1
             if best is None or cand < best:
-                best, best_path = cand, (v, *reversed(suffix))
+                best, best_path = cand, (v, *(f[0] for f in reversed(stack)))
             continue
         # fence v, then re-evaluate v and the ancestors whose out-neighbour distances
         # changed, in reverse topological order: in place, as a full sweep costs O(n+m).
@@ -308,7 +307,6 @@ def exact_infimum(graph: TaskGraph,
                 bits ^= 1 << nodes[-1]
             frontier[v] = itemgetter(*nodes)  # v itself is among them
         key = (v, frontier[v](dist))
-        suffix.append(v)
         # a searched suffix with the same key and no larger maximum found
         # every completion's value or pruned it: nothing here improves
         # strictly. Such a suffix enters with its in-edges used up, so the

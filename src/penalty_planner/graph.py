@@ -180,28 +180,22 @@ class TaskGraph:
 
     # -- structure ---------------------------------------------------------
 
-    def _kahn(self) -> tuple[list[int], bool]:
-        indeg = [0] * self.n
-        for e in self.edges:
-            indeg[e.head] += 1
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for idx in self._out[v]:
-                h = self.edges[idx].head
-                indeg[h] -= 1
-                if indeg[h] == 0:
-                    heapq.heappush(ready, h)
-        return order, len(order) == self.n
-
     def topological_order(self) -> tuple[int, ...]:
         """Deterministic (lexicographically smallest) topological order."""
         if self._topo is None:
-            order, acyclic = self._kahn()
-            if not acyclic:
+            indeg = [len(ins) for ins in self._in]
+            ready = [v for v in range(self.n) if indeg[v] == 0]
+            heapq.heapify(ready)
+            order: list[int] = []
+            while ready:
+                v = heapq.heappop(ready)
+                order.append(v)
+                for idx in self._out[v]:
+                    h = self.edges[idx].head
+                    indeg[h] -= 1
+                    if indeg[h] == 0:
+                        heapq.heappush(ready, h)
+            if len(order) != self.n:
                 raise GraphStructureError("graph contains a cycle")
             self._topo = tuple(order)
         return self._topo
@@ -339,23 +333,22 @@ def validate(graph: TaskGraph) -> list[Violation]:
     Reported kinds: parallel-edge, negative-cost, cycle, no-path.
     """
     violations: list[Violation] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for e in graph.edges:
-        key = (e.tail, e.head)
-        if key in seen_pairs:
+    for i, e in enumerate(graph.edges):
+        if graph._pair[(e.tail, e.head)] != i:
             violations.append(Violation(
                 "parallel-edge",
                 f"more than one edge {graph.describe_node(e.tail)} -> {graph.describe_node(e.head)}"))
-        seen_pairs.add(key)
         if e.cost < 0:
             violations.append(Violation(
                 "negative-cost",
                 f"edge {graph.describe_node(e.tail)} -> {graph.describe_node(e.head)} "
                 f"has cost {e.cost}"))
-    _, acyclic = graph._kahn()
-    if not acyclic:
+    try:
+        graph.topological_order()
+    except GraphStructureError:
         violations.append(Violation("cycle", "graph is not acyclic"))
-    elif graph.target not in graph.reachable_from(graph.source):
+        return violations
+    if graph.target not in graph.reachable_from(graph.source):
         violations.append(Violation(
             "no-path",
             f"target {graph.describe_node(graph.target)} unreachable from "

@@ -23,10 +23,7 @@ SCHEMA_VERSION = 1
 
 
 def format_rational(value: Fraction) -> str:
-    value = as_rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(as_rational(value))
 
 
 def parse_rational(text: Any, where: str) -> Fraction:
