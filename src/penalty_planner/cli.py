@@ -9,6 +9,7 @@ readable document carrying the same values. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -465,6 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and deliver its output.
 
@@ -472,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     human report is dropped so stdout stays parseable), and under --json it
     rides in the payload instead.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         payload, lines, document = args.func(args)

@@ -330,7 +330,12 @@ def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
 def validate(graph: TaskGraph) -> list[Violation]:
     """Check task-graph invariants; violations are returned, never raised.
 
-    Reported kinds: parallel-edge, negative-cost, cycle, no-path.
+    Reported kinds, in this order: parallel-edge and negative-cost (edge by
+    edge), then cycle, or else no-path, or else one dead-end per non-target
+    node without an out-edge. A DAG has a node that cannot reach the target
+    exactly when it has a dead end, and every planning call fails on it
+    until `preprocess`; so a file with one fails `parse(check=True)`, as a
+    cyclic one does.
     """
     violations: list[Violation] = []
     for i, e in enumerate(graph.edges):
@@ -353,6 +358,11 @@ def validate(graph: TaskGraph) -> list[Violation]:
             "no-path",
             f"target {graph.describe_node(graph.target)} unreachable from "
             f"source {graph.describe_node(graph.source)}"))
+        return violations
+    violations.extend(
+        Violation("dead-end", f"node {graph.describe_node(v)} has no out-edge and "
+                              f"cannot reach target {graph.describe_node(graph.target)}")
+        for v in range(graph.n) if not graph._out[v] and v != graph.target)
     return violations
 
 

@@ -150,6 +150,54 @@ def test_validate_accepts_clean_file(tmp_path, capsys):
     assert payload["payload"]["valid"] is True
 
 
+DEAD_END = {
+    "schema_version": 1,
+    "nodes": [{"id": 0, "label": "s"}, {"id": 1, "label": "a"},
+              {"id": 2, "label": "dead"}, {"id": 3, "label": "t"}],
+    "edges": [{"from": 0, "to": 1, "cost": "1"}, {"from": 1, "to": 3, "cost": "1"},
+              {"from": 0, "to": 2, "cost": "1/2"}],
+    "source": 0, "target": 3, "beta": "1/2", "reward": "4",
+}
+
+
+def test_validate_reports_a_node_that_cannot_reach_the_target(tmp_path, capsys):
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(DEAD_END))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert out == "invalid:\n  [dead-end] node dead has no out-edge and cannot reach target t\n"
+    code, payload, _ = run_json(capsys, "validate", str(path))
+    assert payload["payload"] == {"valid": False, "violations": [
+        {"kind": "dead-end", "message": "node dead has no out-edge and cannot reach target t"}]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "min-reward", "approx", "exact", "compare",
+                                     "dot"])
+def test_planning_commands_refuse_a_dead_end(tmp_path, capsys, command):
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(DEAD_END))
+    code, payload, _ = run_json(capsys, command, str(path))
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ValidationError",
+        "message": "node dead has no out-edge and cannot reach target t"}
+
+
+def test_exact_warns_when_the_budget_stops_the_search(tmp_path, capsys):
+    # one scored path is not the optimum here, so --budget 1 cuts the search
+    path = tmp_path / "g.json"
+    run(capsys, "gen", "random", "--n", "9", "--density", "0.6", "--beta", "1/2",
+        "--max-numerator", "1", "--max-denominator", "1", "--seed", "3", "-o", str(path))
+    code, out, _ = run(capsys, "exact", str(path), "--budget", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "infimum of motivating rewards: 2"
+    assert out.splitlines()[-1] == ("warning: path budget hit after 1 paths; "
+                                    "value is an upper bound only")
+    code, out, _ = run(capsys, "exact", str(path))
+    assert "infimum of motivating rewards: 0" in out
+    assert "warning" not in out
+
+
 def test_broken_json_is_domain_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

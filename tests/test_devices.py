@@ -69,6 +69,13 @@ def test_check_path_errors():
             fence_required_reward(g, F(1, 3), path)
 
 
+def test_check_path_rejects_a_repeated_node():
+    # a repeated node needs a cycle; check_path refuses the path before the edges
+    g = TaskGraph(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1)], 0, 2)
+    with pytest.raises(InvalidPathError, match="^path repeats a node$"):
+        check_path(g, [0, 1, 0, 1, 2])
+
+
 @pytest.mark.parametrize("bad", [99, -1])
 def test_ids_outside_the_graph_are_named_by_their_number(bad):
     # alice(4): v1..v4 are ids 0..3 and t is 4; -1 must not read as t
@@ -462,6 +469,12 @@ def test_emulate_rejects_disconnection_and_unknown_edges():
         emulate_subgraph(g, [(0, 1)], 6)
     with pytest.raises(UnknownEdgeError):
         emulate_subgraph(g, [(2, 0)], 6)
+
+
+def test_brute_subgraph_opt_needs_a_connecting_subset():
+    g = TaskGraph(3, [(0, 1, 1)], 0, 2)
+    with pytest.raises(DisconnectedError, match="^no edge subset connects source to target$"):
+        brute_subgraph_opt(g, F(1, 2))
 
 
 @pytest.mark.parametrize("reward", [-1, F(-1, 2), -6])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from penalty_planner import (
     BiasOutOfRangeError,
     CostConfiguration,
+    GraphStructureError,
     NoPathError,
     TargetHasNoChoiceError,
     TaskGraph,
@@ -19,6 +20,7 @@ from penalty_planner import (
     build_view,
     cheapest_costs,
     check_bias,
+    exact_infimum,
     gen_alice,
     gen_noopt,
     gen_random,
@@ -31,7 +33,7 @@ from penalty_planner import (
     successor_map,
     validate,
 )
-from penalty_planner.graph import scaled_costs
+from penalty_planner.graph import distances, scaled_costs
 from oracles import all_paths, brute_cheapest, random_config
 
 
@@ -88,6 +90,59 @@ def test_validate_negative_cost_and_parallel_edges():
 def test_validate_unreachable_target():
     g = TaskGraph(3, [(1, 2, 1)], 0, 2)
     assert [v.kind for v in validate(g)] == ["no-path"]
+
+
+def test_validate_order_and_messages_of_copies_and_negative_costs():
+    # three copies of s -> t among them, two negative: edge by edge, the
+    # first copy is the one kept and every later one is reported
+    g = TaskGraph(3, [(0, 2, "-1"), (0, 1, 1), (0, 2, 2), (1, 2, "-1/2"), (0, 2, "-3")],
+                  0, 2, labels=["s", "a", "t"])
+    assert [(v.kind, v.message) for v in validate(g)] == [
+        ("negative-cost", "edge s -> t has cost -1"),
+        ("parallel-edge", "more than one edge s -> t"),
+        ("negative-cost", "edge a -> t has cost -1/2"),
+        ("parallel-edge", "more than one edge s -> t"),
+        ("negative-cost", "edge s -> t has cost -3"),
+    ]
+
+
+def test_validate_reports_each_dead_end_after_the_edges():
+    # y and z have no out-edge; w cannot reach t either, but only through z,
+    # so only the two dead ends are named
+    g = TaskGraph(6, [(0, 1, 1), (0, 5, 1), (1, 5, "-1"), (4, 3, 0), (0, 2, 1)],
+                  0, 5, labels=["s", "x", "y", "z", "w", "t"])
+    assert [(v.kind, v.message) for v in validate(g)] == [
+        ("negative-cost", "edge x -> t has cost -1"),
+        ("dead-end", "node y has no out-edge and cannot reach target t"),
+        ("dead-end", "node z has no out-edge and cannot reach target t"),
+    ]
+    # preprocessing drops every node that cannot reach the target
+    assert [v.kind for v in validate(preprocess(g))] == ["negative-cost"]
+
+
+def test_validate_keeps_the_order_it_checked():
+    g = gen_alice(5).graph
+    assert validate(g) == []
+    assert g._topo == tuple(range(g.n))
+
+
+@pytest.mark.parametrize("plan", [
+    lambda g: cheapest_costs(g),
+    lambda g: min_motivating_reward(g, None, F(1, 2)),
+    lambda g: minmax_path(g, F(1, 2)),
+    lambda g: exact_infimum(g, F(1, 2)),
+], ids=["cheapest_costs", "min_motivating_reward", "minmax_path", "exact_infimum"])
+def test_planning_on_a_cyclic_graph_raises(plan):
+    g = TaskGraph(3, [(0, 1, 1), (1, 2, 1), (2, 1, 1)], 0, 2)
+    with pytest.raises(GraphStructureError, match="^graph contains a cycle$"):
+        plan(g)
+
+
+def test_distances_need_every_node_to_reach_the_target():
+    g = TaskGraph(3, [(0, 1, 1), (0, 2, 1)], 0, 2, labels=["s", "x", "t"])
+    with pytest.raises(NoPathError, match="^node x has no path to the target"):
+        distances(g, [1, 1])
+    assert distances(preprocess(g), [1]) == [1, 0]
 
 
 def test_preprocess_drops_isolated_node():

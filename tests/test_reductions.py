@@ -82,6 +82,18 @@ def test_dimacs_rejects_bad_input():
         parse_dimacs("p cnf x y\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p cnf 1 1\np cnf 1 1\n1 1 1 0\n", "line 2: duplicate problem line"),
+    ("p cnf 1\n", "line 1: malformed problem line 'p cnf 1'"),
+    ("p dnf 1 1\n", "line 1: malformed problem line 'p dnf 1 1'"),
+    ("p cnf 1 1\n1 x 1 0\n", "line 2: bad literal 'x'"),
+    ("c only a comment\n", "missing problem line"),
+], ids=["duplicate-header", "short-header", "not-cnf", "bad-literal", "no-header"])
+def test_dimacs_rejects_malformed_lines(text, message):
+    with pytest.raises(CnfError, match=f"^{message}$"):
+        parse_dimacs(text)
+
+
 def test_normalize_assignment_forms():
     assert normalize_assignment(3, "TFT") == {1: True, 2: False, 3: True}
     assert normalize_assignment(3, "101") == {1: True, 2: False, 3: True}
