@@ -247,35 +247,22 @@ def _set(key, value):
     return mutate
 
 
-def _set_entry(key, value):
-    def mutate(doc):
-        doc[key][0] = value
-        return doc
-    return mutate
-
-
-def _duplicate_extra(doc):
-    edge = doc["edges"][0]
-    doc["extra_costs"] = [{"from": edge["from"], "to": edge["to"], "extra": x}
-                          for x in ("1", "2")]
-    return doc
-
-
 @pytest.mark.parametrize("mutate,message", [
     (lambda doc: [doc], "document root must be an object"),
     (_set("schema_version", 2), "unsupported schema_version 2"),
-    (_set_entry("nodes", 0), "nodes entries must be objects"),
-    (_set_entry("edges", []), "edges entries must be objects"),
+    (_set("nodes", [0]), "nodes entries must be objects"),
+    (_set("edges", [[]]), "edges entries must be objects"),
     (_set("extra_costs", ["0 -> 1"]), "extra_costs entries must be objects"),
     (_set("source", "0"), "document: key 'source' must be int"),
     (_set("target", True), "document: key 'target' must be int"),
     (_set("nodes", {}), "document: key 'nodes' must be list"),
-    (_set_entry("edges", {"from": 0, "to": 1.0, "cost": "1"}), "edge: key 'to' must be int"),
+    (_set("edges", [{"from": 0, "to": 1.0, "cost": "1"}]), "edge: key 'to' must be int"),
     (_set("beta", "3/2"), r"beta must lie in \(0, 1\], got 3/2"),
     (_set("beta", "0"), r"beta must lie in \(0, 1\], got 0"),
     (_set("annotations", []), "annotations must be an object"),
     (_set("extra_costs", {}), "extra_costs must be a list"),
-    (_duplicate_extra, r"duplicate extra cost for edge \(0, 1\)"),
+    (_set("extra_costs", [{"from": 0, "to": 1, "extra": x} for x in ("1", "2")]),
+     r"duplicate extra cost for edge \(0, 1\)"),
 ], ids=["root-type", "schema-version", "node-entry", "edge-entry", "extra-entry",
         "source-type", "target-bool", "nodes-type", "edge-key-type", "beta-above-one",
         "beta-zero", "annotations-type", "extra-costs-type", "duplicate-extra"])
