@@ -45,7 +45,6 @@ from .errors import (
     ParameterOutOfRangeError,
     PlannerError,
     SchemaError,
-    TargetHasNoChoiceError,
     UnknownEdgeError,
     ValidationError,
 )
@@ -57,8 +56,6 @@ from .graph import (
     as_rational,
     check_bias,
     cheapest_costs,
-    lowest_perceived,
-    perceived_cost,
     preprocess,
     validate,
 )
@@ -86,15 +83,14 @@ __all__ = [
     "InfimumResult", "Instance", "InstanceSyntaxError", "InternalVerificationError",
     "InvalidPathError", "NoPathError", "NoWalkError", "ParameterOutOfRangeError",
     "PlannerError", "ReductionMeta", "SchemaError", "SubgraphOptResult",
-    "TargetHasNoChoiceError", "TaskGraph", "UnknownEdgeError", "ValidationError",
-    "Violation", "WalkReport", "as_rational", "assignment_to_config",
-    "brute_subgraph_opt", "build_view", "check_bias", "check_path",
-    "cheapest_costs", "config_to_assignment", "emulate_subgraph", "epsilon_bound",
-    "exact_infimum", "fence_required_reward", "format_rational", "gen_alice",
-    "gen_noopt", "gen_random", "gen_ratio", "is_motivating", "lowest_perceived",
-    "meta_from_instance", "meta_to_annotations", "min_motivating_reward",
-    "minmax_path", "minmax_path_approx", "normalize_assignment", "parse",
-    "parse_dimacs", "path_and_fence", "perceived_cost", "preprocess",
+    "TaskGraph", "UnknownEdgeError", "ValidationError", "Violation", "WalkReport",
+    "as_rational", "assignment_to_config", "brute_subgraph_opt", "build_view",
+    "check_bias", "check_path", "cheapest_costs", "config_to_assignment",
+    "emulate_subgraph", "epsilon_bound", "exact_infimum", "fence_required_reward",
+    "format_rational", "gen_alice", "gen_noopt", "gen_random", "gen_ratio",
+    "is_motivating", "meta_from_instance", "meta_to_annotations",
+    "min_motivating_reward", "minmax_path", "minmax_path_approx",
+    "normalize_assignment", "parse", "parse_dimacs", "path_and_fence", "preprocess",
     "reachable_by_ties", "sat_to_mcc", "serialize", "successor_map", "tie_walk",
     "to_dot", "validate",
 ]

@@ -61,7 +61,7 @@ def build_view(graph: TaskGraph,
                beta: RationalLike) -> AgentView:
     """Populate d, eta, zeta and the argmin relation exactly, in integers."""
     b = check_bias(beta)
-    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
+    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config, graph)
     icost, scale = scaled_costs(graph, cfg)
     p, q = b.numerator, b.denominator
     d = distances(graph, icost)

@@ -23,10 +23,6 @@ class UnknownEdgeError(PlannerError):
     """Referenced edge does not exist in the graph."""
 
 
-class TargetHasNoChoiceError(PlannerError):
-    """Asked for the choice set at the target node, which has none."""
-
-
 class InvalidPathError(PlannerError):
     """Node sequence is not a source-to-target path of the graph."""
 

@@ -22,7 +22,6 @@ from .errors import (
     BiasOutOfRangeError,
     GraphStructureError,
     NoPathError,
-    TargetHasNoChoiceError,
     UnknownEdgeError,
 )
 
@@ -237,18 +236,23 @@ class CostConfiguration:
     """Nonnegative extra cost per edge; edges absent from the map pay zero.
 
     Zero entries are dropped on construction, so configurations with the
-    same semantics compare equal.
+    same semantics compare equal. Given a graph, every key, zero entries
+    included, must be one of its edges.
     """
 
     __slots__ = ("_extra",)
 
-    def __init__(self, extra: Mapping[tuple[int, int], RationalLike] | None = None):
+    def __init__(self, extra: Mapping[tuple[int, int], RationalLike] | None = None,
+                 graph: TaskGraph | None = None):
         store: dict[tuple[int, int], Fraction] = {}
         if extra:
             for (tail, head), value in extra.items():
                 x = as_rational(value)  # its denominator is positive: test the numerator
                 if x.numerator < 0:
                     raise ValueError(f"extra cost on ({tail}, {head}) is negative: {x}")
+                if graph is not None and not graph.has_edge(tail, head):
+                    raise UnknownEdgeError(
+                        f"configuration references missing edge ({tail}, {head})")
                 if x.numerator:
                     store[(int(tail), int(head))] = x
         self._extra = store
@@ -305,7 +309,7 @@ def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
     Each graph scales its base costs once and keeps them; without extras
     they are returned as that shared tuple. A configuration rescales a copy
     and adds each of its entries at every edge from its tail to its head."""
-    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config)
+    cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config, graph)
     cfg.check_for(graph)
     if graph._scaled is None:
         costs = [e.cost for e in graph.edges]
@@ -413,8 +417,9 @@ def choice(graph: TaskGraph, cost: Sequence, d: Sequence, beta, node: int
     Returns the perceived cost `cost[i] + beta*d[head]` of every out-edge
     (in `out_indices` order), their minimum, and the indices of all edges
     attaining it. For beta = p/q, callers in scaled integers pass
-    (q*cost, p) and get the same order and ties; `devices._fence_on_path`
-    is the one caller that passes Fractions.
+    (q*cost, p) and get the same order and ties. Its three callers are
+    `agent.build_view` and `agent._tie_closure`, in integers, and
+    `devices._fence_on_path`, in Fractions.
     """
     edges = graph.edges
     out = graph.out_indices(node)
@@ -434,38 +439,3 @@ def cheapest_costs(graph: TaskGraph,
     icost, scale = scaled_costs(graph, config)
     d = distances(graph, icost)
     return {v: Fraction(d[v], scale) for v in reversed(graph.topological_order())}
-
-
-def perceived_cost(graph: TaskGraph,
-                   config: CostConfiguration | Mapping | None,
-                   beta: RationalLike,
-                   edge: tuple[int, int]) -> Fraction:
-    """Immediate edge cost (with extra) plus discounted remaining cost."""
-    b = check_bias(beta)
-    icost, scale = scaled_costs(graph, config)
-    tail, head = edge
-    idx = graph.edge_index(tail, head)
-    p, q = b.numerator, b.denominator
-    etas, _, _ = choice(graph, [q * c for c in icost], distances(graph, icost), p, tail)
-    return Fraction(etas[graph.out_indices(tail).index(idx)], q * scale)
-
-
-def lowest_perceived(graph: TaskGraph,
-                     config: CostConfiguration | Mapping | None,
-                     beta: RationalLike,
-                     node: int) -> tuple[Fraction, frozenset[tuple[int, int]]]:
-    """Minimum perceived cost at a node and the full set of edges attaining it.
-
-    The complete argmin set matters: ties are broken arbitrarily, so every
-    minimizing edge is a move the agent might make.
-    """
-    if node == graph.target:
-        raise TargetHasNoChoiceError("the target node has no outgoing choice")
-    b = check_bias(beta)
-    icost, scale = scaled_costs(graph, config)
-    if not 0 <= node < graph.n:
-        raise ValueError(f"node id {node} out of range")
-    p, q = b.numerator, b.denominator
-    _, low, ties = choice(graph, [q * c for c in icost], distances(graph, icost), p, node)
-    return Fraction(low, q * scale), frozenset((graph.edges[i].tail, graph.edges[i].head)
-                                               for i in ties)

@@ -194,6 +194,11 @@ def sat_to_mcc(cnf: CnfFormula,
     tightened so that unsatisfiable formulas stay above
     (1 + beta*(1-beta)^4)/beta. When `epsilon` is omitted, half the
     applicable strict bound is used.
+
+    Measured, not proven, at the default epsilon: the exact infimum is
+    1/beta for a satisfiable formula and threshold + epsilon*(1+beta)/beta
+    for an unsatisfiable one (threshold 1/beta, or `gap_threshold`), as
+    `tests/test_reductions.py` pins on a seeded sweep.
     """
     b = check_bias(beta, strict=True)
     bound = epsilon_bound(b, gap=gap)

@@ -22,23 +22,30 @@ from oracles import brute_min_reward, brute_walk_report, materialize_subgraph, r
 
 
 def test_build_view_alice():
-    g = gen_alice(10).graph
+    m = 10
+    g = gen_alice(m).graph
     view = build_view(g, None, F(1, 3))
     assert view.zeta[0] == 2
     assert view.argmin[0] == frozenset({(0, 1)})
-    assert view.eta[(0, g.target)] == 3
+    for i in range(m - 1):
+        assert view.eta[(i, g.target)] == 3
+    for i in range(m - 3):  # d(i + 1) = 3 while node i + 1 is at least three steps from t
+        assert view.eta[(i, i + 1)] == 2
 
 
 def test_build_view_noopt_tie():
-    g = gen_noopt(F(1, 2)).graph
-    view = build_view(g, None, F(1, 2))
-    assert len(view.argmin[1]) == 2
+    for beta in (F(1, 5), F(1, 2), F(7, 9)):
+        view = build_view(gen_noopt(beta).graph, None, beta)
+        assert view.eta[(1, 2)] == view.eta[(1, 5)] == view.zeta[1] == 1
+        assert view.argmin[1] == frozenset({(1, 2), (1, 5)})
 
 
 def test_build_view_no_discount_zeta_is_distance():
     g = gen_random(8, 0.5, 1, seed=3).graph
     view = build_view(g, None, 1)
     assert view.zeta[g.source] == view.d[g.source]
+    view = build_view(TaskGraph(2, [(0, 1, 5)], 0, 1), None, 1)
+    assert (view.zeta, view.argmin) == ({0: 5}, {0: frozenset({(0, 1)})})
 
 
 def test_reachable_alice_is_the_chain():

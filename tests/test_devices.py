@@ -29,7 +29,6 @@ from penalty_planner import (
     minmax_path,
     minmax_path_approx,
     path_and_fence,
-    perceived_cost,
     reachable_by_ties,
     successor_map,
     tie_walk,
@@ -83,7 +82,7 @@ def test_ids_outside_the_graph_are_named_by_their_number(bad):
     with pytest.raises(InvalidPathError, match=f"^missing edge v1 -> {bad}$"):
         check_path(g, [0, bad, 4])
     with pytest.raises(UnknownEdgeError, match=f"^no edge {bad} -> v1$"):
-        perceived_cost(g, None, F(1, 3), (bad, 0))
+        g.edge_index(bad, 0)
     with pytest.raises(UnknownEdgeError, match=f"^no edge v2 -> {bad}$"):
         g.cost(1, bad)
     with pytest.raises(UnknownEdgeError, match=rf"^kept edge \({bad}, 1\) is not in the graph$"):

@@ -10,26 +10,26 @@ from hypothesis import strategies as st
 
 from penalty_planner import (
     BiasOutOfRangeError,
+    CnfFormula,
     CostConfiguration,
     GraphStructureError,
     NoPathError,
-    TargetHasNoChoiceError,
     TaskGraph,
     UnknownEdgeError,
     as_rational,
     build_view,
     cheapest_costs,
     check_bias,
+    config_to_assignment,
     exact_infimum,
     gen_alice,
     gen_noopt,
     gen_random,
     is_motivating,
-    lowest_perceived,
     min_motivating_reward,
     minmax_path,
-    perceived_cost,
     preprocess,
+    sat_to_mcc,
     successor_map,
     validate,
 )
@@ -152,6 +152,8 @@ def test_preprocess_drops_isolated_node():
     assert clean.labels == ("s", "t")
     assert clean.source == 0 and clean.target == 1
     assert clean.cost(0, 1) == 0
+    with pytest.raises(UnknownEdgeError, match="^no edge t -> s$"):
+        clean.cost(1, 0)
 
 
 def test_preprocess_drops_dead_end():
@@ -222,13 +224,15 @@ def test_cheapest_costs_matches_path_enumeration(seed):
     base = {v: brute_cheapest(g, None, v) for v in range(g.n)}
     eta0 = {(e.tail, e.head): e.cost + beta * base[e.head] for e in g.edges}
     sig = successor_map(g)
+    view = build_view(g, cfg, beta)
     for v in range(g.n):
         if v == g.target:
             continue
         eta = {(e.tail, e.head): e.cost + cfg.get(e.tail, e.head)
                + beta * brute_cheapest(g, cfg, e.head) for e in g.out_edges(v)}
         low = min(eta.values())
-        assert lowest_perceived(g, cfg, beta, v) == (
+        assert {k: view.eta[k] for k in eta} == eta
+        assert (view.zeta[v], view.argmin[v]) == (
             low, frozenset(k for k, x in eta.items() if x == low))
         assert sig[v] == min(e.head for e in g.out_edges(v)
                              if e.cost + base[e.head] == base[v])
@@ -239,17 +243,19 @@ def test_cheapest_costs_matches_path_enumeration(seed):
 
 @pytest.mark.parametrize("call", [
     lambda g, cfg: cheapest_costs(g, cfg),
-    lambda g, cfg: perceived_cost(g, cfg, F(1, 3), (0, 1)),
-    lambda g, cfg: lowest_perceived(g, cfg, F(1, 3), 0),
     lambda g, cfg: build_view(g, cfg, F(1, 3)),
     lambda g, cfg: is_motivating(g, cfg, F(1, 3), 6),
     lambda g, cfg: min_motivating_reward(g, cfg, F(1, 3)),
     lambda g, cfg: scaled_costs(g, cfg),
-], ids=["cheapest_costs", "perceived_cost", "lowest_perceived", "build_view",
-        "is_motivating", "min_motivating_reward", "scaled_costs"])
+    # on a reduction graph, which lacks the same edges as alice's
+    lambda g, cfg: config_to_assignment(sat_to_mcc(CnfFormula(1, ((1, 1, 1),)), F(1, 3)), cfg),
+], ids=["cheapest_costs", "build_view", "is_motivating", "min_motivating_reward",
+        "scaled_costs", "config_to_assignment"])
 def test_configuration_naming_a_missing_edge_is_rejected(call):
     g = gen_alice(5).graph
-    for extra in ({(3, 0): 1}, CostConfiguration({(0, 1): 1, (3, 0): 1}), {(0, 99): 1}):
+    # a zero extra names its edge as much as any other
+    for extra in ({(3, 0): 1}, CostConfiguration({(0, 1): 1, (3, 0): 1}), {(0, 99): 1},
+                  {(3, 0): 0}, {(0, 1): 1, (0, 99): 0}):
         with pytest.raises(UnknownEdgeError):
             call(g, extra)
 
@@ -295,64 +301,6 @@ def test_scaled_costs_results_are_independent():
             icost[0] += 1
         except TypeError:  # the costs without extras are shared, so immutable
             assert cfg is None
-
-
-def test_perceived_cost_alice_examples():
-    m, beta = 10, F(1, 3)
-    g = gen_alice(m).graph
-    for i in range(m - 1):
-        assert perceived_cost(g, None, beta, (i, g.target)) == 3
-    for i in range(m - 3):  # d(v_{i+1}) = 3 up to i = m-4 (0-based m-4 exclusive)
-        assert perceived_cost(g, None, beta, (i, i + 1)) == 2
-
-
-def test_perceived_cost_noopt_exact_tie():
-    for beta in (F(1, 5), F(1, 2), F(7, 9)):
-        g = gen_noopt(beta).graph
-        assert perceived_cost(g, None, beta, (1, 2)) == 1
-        assert perceived_cost(g, None, beta, (1, 5)) == 1
-
-
-def test_perceived_cost_unknown_edge():
-    g = gen_alice(3).graph
-    with pytest.raises(UnknownEdgeError):
-        perceived_cost(g, None, F(1, 2), (2, 0))
-
-
-def test_lowest_perceived_alice():
-    g = gen_alice(10).graph
-    value, argmin = lowest_perceived(g, None, F(1, 3), 0)
-    assert value == 2
-    assert argmin == frozenset({(0, 1)})
-
-
-def test_lowest_perceived_noopt_tie_sets_both_edges():
-    g = gen_noopt(F(1, 2)).graph
-    value, argmin = lowest_perceived(g, None, F(1, 2), 1)
-    assert value == 1
-    assert argmin == frozenset({(1, 2), (1, 5)})
-
-
-def test_lowest_perceived_single_edge_no_discount():
-    g = TaskGraph(2, [(0, 1, 5)], 0, 1)
-    value, argmin = lowest_perceived(g, None, 1, 0)
-    assert value == 5
-    assert argmin == frozenset({(0, 1)})
-
-
-def test_lowest_perceived_rejects_target():
-    g = gen_alice(3).graph
-    with pytest.raises(TargetHasNoChoiceError):
-        lowest_perceived(g, None, F(1, 2), g.target)
-
-
-@pytest.mark.parametrize("node", [-1, -2, 7, 99])
-def test_lowest_perceived_rejects_node_out_of_range(node):
-    # negative ids used to wrap around to another node's answer
-    g = gen_noopt(F(1, 2)).graph
-    assert g.n == 7
-    with pytest.raises(ValueError, match="out of range"):
-        lowest_perceived(g, None, F(1, 2), node)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -425,5 +373,10 @@ def test_configuration_normalizes_zero_entries():
     b = CostConfiguration({(1, 2): F(1, 2)})
     assert a == b
     assert a.get(0, 1) == 0
+    # given a graph, the zero entries it drops are checked first
+    g = TaskGraph(3, [(0, 1, 1), (1, 2, 1)], 0, 2)
+    assert CostConfiguration({(0, 1): 0, (1, 2): F(1, 2)}, g) == b
+    with pytest.raises(UnknownEdgeError, match=r"^configuration references missing edge \(0, 2\)$"):
+        CostConfiguration({(0, 2): 0}, g)
     with pytest.raises(ValueError):
         CostConfiguration({(0, 1): -1})

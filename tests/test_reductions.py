@@ -25,6 +25,7 @@ from penalty_planner import (
     normalize_assignment,
     parse,
     parse_dimacs,
+    path_and_fence,
     preprocess,
     sat_to_mcc,
     serialize,
@@ -274,6 +275,42 @@ def test_hard_8_vars_24_clauses_solves_in_few_expansions(seed, gap):
     assert result.value == 1 / BETA
     assert not result.exhausted
     assert result.expansions < 2_000
+
+
+def sweep_formulas(start, count=6):
+    """The first `count` satisfiable and the first `count` unsatisfiable
+    formulas drawn from seeds start, start+1, ...: 4-6 variables with 2-9
+    clauses per variable, so that both outcomes occur."""
+    found = {True: [], False: []}
+    seed = start
+    while min(len(formulas) for formulas in found.values()) < count:
+        num_vars = 4 + seed % 3
+        formula = random_formula(seed, num_vars, num_vars * (2 + seed % 8))
+        formulas = found[next(formula.satisfying_assignments(), None) is not None]
+        if len(formulas) < count:
+            formulas.append(formula)
+        seed += 1
+    return found[True], found[False]
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["decision", "gap"])
+@pytest.mark.parametrize("beta", [F(1, 3), F(1, 5), F(1, 10)], ids=str)
+def test_sweep_decides_every_formula_as_brute_force_sat_does(beta, gap):
+    # the exact search against brute-force SAT: a satisfiable formula reaches
+    # 1/beta, and the fence of the witness decodes to a satisfying assignment;
+    # an unsatisfiable one lands exactly eps*(1+beta)/beta above the threshold
+    satisfiable, unsatisfiable = sweep_formulas(100 * beta.denominator + 50 * gap)
+    for formula in satisfiable + unsatisfiable:
+        meta = sat_to_mcc(formula, beta, gap=gap)
+        result = exact_infimum(meta.graph, beta)
+        assert not result.exhausted
+        if formula in satisfiable:
+            assert result.value == 1 / beta
+            fence = path_and_fence(meta.graph, beta, result.path, F(1, 10 ** 6))
+            assert formula.satisfied_by(config_to_assignment(meta, fence))
+        else:
+            threshold = meta.gap_threshold if gap else 1 / beta
+            assert result.value == threshold + meta.epsilon * (1 + beta) / beta
 
 
 @pytest.mark.parametrize("num_vars, num_clauses, seed, gap, work", [
