@@ -326,8 +326,10 @@ def _cmd_compare(args) -> Output:
     instance, _ = parse(_read_text(args.file))
     graph = instance.graph
     beta = instance.beta
-    inf_result = exact_infimum(graph, beta, path_budget=args.budget)
+    # the subset enumeration refuses a graph over its edge budget at once,
+    # before the exact search has spent its time
     sub_result = brute_subgraph_opt(graph, beta, edge_budget=args.edge_budget)
+    inf_result = exact_infimum(graph, beta, path_budget=args.budget)
     penalty = inf_result.value
     prohibition = sub_result.value
     bound = 1 / beta

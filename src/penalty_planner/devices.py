@@ -411,30 +411,22 @@ def minmax_path_approx(graph: TaskGraph, beta: RationalLike) -> ApproxResult:
     sig = successor_map(graph)
     p_edges = set(zip(path, path[1:]))
     p_nodes = set(path)
+    # most expensive edge on each node's successor chain up to the next
+    # minmax-path node, in one pass: a successor comes later in topological order
+    seg: dict[int, Fraction] = {}
+    for v in reversed(graph.topological_order()):
+        if v != graph.target:
+            seg[v] = max(graph.cost(v, sig[v]), ZERO if sig[v] in p_nodes else seg[sig[v]])
     prohibitive = 3 * rho / b
     extra: dict[tuple[int, int], Fraction] = {}
     for e in graph.edges:
         key = (e.tail, e.head)
         if key in p_edges:
             continue
-        if sig[e.tail] == e.head:
-            if e.tail not in p_nodes:
-                continue
-            # most expensive edge on the successor chain up to the next
-            # node shared with the minmax path
-            cur = e.tail
-            seg_max = ZERO
-            while True:
-                nxt = sig[cur]
-                c = graph.cost(cur, nxt)
-                if c > seg_max:
-                    seg_max = c
-                cur = nxt
-                if cur in p_nodes:
-                    break
-            extra[key] = seg_max
-        else:
+        if sig[e.tail] != e.head:
             extra[key] = prohibitive
+        elif e.tail in p_nodes:
+            extra[key] = seg[e.tail]
     config = CostConfiguration(extra)
     guaranteed = 2 * rho / b
     report = is_motivating(graph, config, b, guaranteed)

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .errors import InstanceSyntaxError, SchemaError, ValidationError
+from .errors import InstanceSyntaxError, SchemaError, UnknownEdgeError, ValidationError
 from .graph import CostConfiguration, TaskGraph, as_rational, validate
 from .instances import Instance
 
@@ -52,9 +52,12 @@ def serialize(instance: Instance, config: CostConfiguration | None = None) -> st
     The text is written directly; it is byte-identical to
     `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)` of the
     document as a dict, plus a final newline. That encoder runs in pure
-    Python with an indent and is several times slower.
+    Python with an indent and is several times slower. A configuration that
+    names an edge the graph lacks raises UnknownEdgeError.
     """
     graph = instance.graph
+    if config is not None:
+        config.check_for(graph)
     fields = {
         "schema_version": str(SCHEMA_VERSION),
         "nodes": _json_list([
@@ -152,8 +155,8 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
             raise SchemaError("annotations must be an object")
         annotations = doc["annotations"]
 
-    # the constructors check node ids, labels and extras: a ValueError there
-    # is a SchemaError here
+    # the constructors check node ids, labels and extras: a ValueError or an
+    # UnknownEdgeError there is a SchemaError here
     try:
         graph = TaskGraph(len(raw_nodes), edges, source, target, labels)
     except ValueError as exc:
@@ -170,16 +173,13 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
                 raise SchemaError("extra_costs entries must be objects")
             tail = _require(entry, "from", int, "extra")
             head = _require(entry, "to", int, "extra")
-            # checked here: CostConfiguration drops a zero extra before check_for sees it
-            if not graph.has_edge(tail, head):
-                raise SchemaError(f"extra cost on missing edge ({tail}, {head})")
             value = parse_rational(_require(entry, "extra", object, "extra"), "extra cost")
             if (tail, head) in extra:
                 raise SchemaError(f"duplicate extra cost for edge ({tail}, {head})")
             extra[(tail, head)] = value
         try:
-            config = CostConfiguration(extra)
-        except ValueError as exc:
+            config = CostConfiguration(extra, graph)
+        except (ValueError, UnknownEdgeError) as exc:
             raise SchemaError(str(exc)) from None
 
     if check:
@@ -201,8 +201,13 @@ def _dot_quote(text: str) -> str:
 def to_dot(instance: Instance,
            config: CostConfiguration | None = None,
            highlight: Iterable[int] | None = None) -> str:
-    """Deterministic DOT rendering; edge labels show cost and any extra."""
+    """Deterministic DOT rendering; edge labels show cost and any extra.
+
+    A configuration that names an edge the graph lacks raises UnknownEdgeError.
+    """
     graph = instance.graph
+    if config is not None:
+        config.check_for(graph)
     path_nodes = list(highlight) if highlight is not None else []
     path_edges = set(zip(path_nodes, path_nodes[1:]))
     path_set = set(path_nodes)

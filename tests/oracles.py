@@ -124,6 +124,36 @@ def brute_minmax_path(graph: TaskGraph, beta) -> tuple[tuple[int, ...], Fraction
     return tuple(path), max(x for e, x in zip(edges, eta0) if (e.tail, e.head) in on_path)
 
 
+def brute_approx_config(graph: TaskGraph, beta) -> CostConfiguration:
+    """The 2-approximation's extras as their definition states them.
+
+    Minmax-path edges are free. Every other edge that is not a successor
+    edge (toward a cheapest path, lowest head on ties) costs 3*rho/beta. A
+    successor edge is free off the path; from a path node it costs the
+    largest base cost met walking successor edges to the next path node.
+    """
+    beta = Fraction(beta)
+    path, rho = brute_minmax_path(graph, beta)
+    d = [brute_cheapest(graph, None, v) for v in range(graph.n)]
+
+    def succ(v):
+        return min(e.head for e in graph.out_edges(v) if e.cost + d[e.head] == d[v])
+
+    on_path, path_edges = set(path), set(zip(path, path[1:]))
+    extra = {}
+    for e in graph.edges:
+        if (e.tail, e.head) in path_edges:
+            continue
+        if succ(e.tail) != e.head:
+            extra[(e.tail, e.head)] = 3 * rho / beta
+        elif e.tail in on_path:
+            walk = [e.tail, e.head]
+            while walk[-1] not in on_path:
+                walk.append(succ(walk[-1]))
+            extra[(e.tail, e.head)] = max(graph.cost(u, v) for u, v in zip(walk, walk[1:]))
+    return CostConfiguration(extra)
+
+
 def _brute_ties(graph: TaskGraph, config, beta: Fraction):
     """Every non-target node's zeta and tied heads (ascending), and the
     source's tie closure, with every remaining cost found by enumerating

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from penalty_planner import parse
+from penalty_planner import cli, parse
 from penalty_planner.cli import main
 
 
@@ -72,6 +72,12 @@ def test_fence_command_writes_config(tmp_path, capsys):
         {"from": "v1", "to": "v2", "extra": "1/40"}]
     instance, config = parse(out.read_text())
     assert config.get(1, 2) == F(1, 40)
+    # an empty token in the path is skipped
+    code, again, _ = run_json(capsys, "fence", str(src),
+                              "--path", "s,,v1,w,t", "--epsilon", "1/10")
+    assert code == 0
+    assert again["payload"]["path"] == ["s", "v1", "w", "t"]
+    assert again["payload"]["extra_costs"] == payload["payload"]["extra_costs"]
 
 
 def test_approx_command(tmp_path, capsys):
@@ -225,6 +231,19 @@ def test_compare_command(tmp_path, capsys):
     assert payload["payload"]["expansions"] >= 1
 
 
+def test_compare_refuses_an_oversized_graph_before_the_exact_search(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.json"
+    run(capsys, "gen", "noopt", "--beta", "1/2", "-o", str(path))
+
+    def exact_infimum(*args, **kwargs):
+        raise AssertionError("compare ran the exact search on a graph it refuses")
+
+    monkeypatch.setattr(cli, "exact_infimum", exact_infimum)
+    code, out, err = run(capsys, "compare", str(path), "--edge-budget", "3")
+    assert (code, out, err) == (1, "", "error: 7 edges exceed the enumeration budget of 3\n")
+
+
 def test_exact_threads_env_default(tmp_path, capsys, monkeypatch):
     # PENALTY_PLANNER_THREADS is not read: the search is deterministic,
     # so two runs under different values report the same answer
@@ -296,6 +315,15 @@ def test_count_below_zero_is_usage_error(tmp_path, capsys, command, flag, value)
         main([command, str(path), flag, value])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_reward_that_is_not_a_rational_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    run(capsys, "gen", "noopt", "--beta", "1/2", "-o", str(path))
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", str(path), "--reward", "abc"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --reward: not a rational: 'abc'\n")
 
 
 @pytest.mark.parametrize("argv,flag", [

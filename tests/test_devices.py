@@ -35,6 +35,7 @@ from penalty_planner import (
 )
 from oracles import (
     all_paths,
+    brute_approx_config,
     brute_fence,
     brute_infimum,
     brute_min_reward,
@@ -443,6 +444,35 @@ def test_approx_guarantees_on_random_graphs(seed):
     for v in reachable_by_ties(view):
         if v != g.target:
             assert view.zeta[v] <= 2 * result.rho
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_approx_extras_match_the_chain_walk_oracle(seed):
+    # integer costs of at most 1 or 2 tie many cheapest paths and perceived costs
+    g = gen_random(2 + seed % 12, 0.5, seed=3100 + seed,
+                   max_numerator=1 + seed % 2, max_denominator=1).graph
+    for beta in (F(1, 5), F(1, 2), F(2, 3), F(1)):
+        assert minmax_path_approx(g, beta).config == brute_approx_config(g, beta)
+
+
+def shared_chain(k, length):
+    """Path nodes 0..k-1 before the target k, on edges of cost 1; each path
+    node also has a free edge into one chain of `length` nodes joined by
+    free edges, whose exit edge to the target costs 3."""
+    chain = range(k + 1, k + 1 + length)
+    edges = [(i, i + 1, 1) for i in range(k)] + [(i, chain[0], 0) for i in range(k)]
+    edges += [(c, c + 1, 0) for c in chain[:-1]] + [(chain[-1], k, 3)]
+    return TaskGraph(k + 1 + length, edges, 0, k)
+
+
+@pytest.mark.parametrize("k, length", [(1, 1), (4, 1), (5, 3), (8, 8), (12, 5)])
+def test_approx_charges_every_path_node_the_shared_chain_exit(k, length):
+    g = shared_chain(k, length)
+    result = minmax_path_approx(g, F(1, 2))
+    assert result.minmax_path == tuple(range(k + 1))
+    assert result.config == brute_approx_config(g, F(1, 2))
+    # a path node at least four edges from the target enters the chain
+    assert all(result.config.get(i, k + 1) == 3 for i in range(k - 3))
 
 
 # -- emulate_subgraph ---------------------------------------------------------

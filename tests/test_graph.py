@@ -360,6 +360,13 @@ def test_duplicate_labels_rejected():
         TaskGraph(2, [(0, 1, 0)], 0, 1, labels=["a", "a"])
 
 
+def test_graph_needs_a_node_and_one_label_per_node():
+    with pytest.raises(ValueError, match="^graph needs at least one node$"):
+        TaskGraph(0, [], 0, 0)
+    with pytest.raises(ValueError, match="^labels length must equal node count$"):
+        TaskGraph(2, [(0, 1, 0)], 0, 1, labels=["s"])
+
+
 @pytest.mark.parametrize("label", [5, 1.5, b"a"])
 def test_labels_must_be_strings(label):
     with pytest.raises(ValueError, match="not a string"):
@@ -380,3 +387,13 @@ def test_configuration_normalizes_zero_entries():
         CostConfiguration({(0, 2): 0}, g)
     with pytest.raises(ValueError):
         CostConfiguration({(0, 1): -1})
+
+
+def test_reprs_and_comparison_with_other_types():
+    g = TaskGraph(2, [(0, 1, 1)], 0, 1, ["s", None])
+    assert repr(g) == "TaskGraph(n=2, edges=1, source=s, target=1)"
+    assert repr(CostConfiguration({(0, 1): 0})) == "CostConfiguration.zero()"
+    cfg = CostConfiguration({(1, 2): F(7, 2), (0, 1): 1})
+    assert repr(cfg) == "CostConfiguration({(0, 1): 1, (1, 2): 7/2})"
+    # neither type claims equality with a value of another type
+    assert g != (2, [(0, 1, 1)]) and cfg != {(0, 1): 1, (1, 2): F(7, 2)}

@@ -136,6 +136,10 @@ def test_random_parameter_domain():
         gen_random(5, 0)
     with pytest.raises(ParameterOutOfRangeError):
         gen_random(5, 1.5)
+    for bounds in ({"max_denominator": 0}, {"max_numerator": -1}):
+        with pytest.raises(ParameterOutOfRangeError,
+                           match="^cost bounds must be nonnegative/positive$"):
+            gen_random(5, 0.5, **bounds)
 
 
 def test_named_generators_are_clean():

@@ -48,6 +48,8 @@ def test_formula_validation():
         CnfFormula(2, ((1, 0, 2),))     # zero literal
     with pytest.raises(CnfError):
         CnfFormula(2, ())
+    with pytest.raises(CnfError, match="^formula needs at least one variable$"):
+        CnfFormula(0, ((1, 1, 1),))
 
 
 def test_satisfied_by_and_enumeration():
@@ -57,6 +59,8 @@ def test_satisfied_by_and_enumeration():
     assert {1: True, 2: True, 3: True} in sats
     unsat = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
     assert list(unsat.satisfying_assignments()) == []
+    with pytest.raises(CnfError, match="^exhaustive enumeration capped at 20 variables$"):
+        next(CnfFormula(21, ((1, 2, 21),)).satisfying_assignments())
 
 
 def test_dimacs_round_trip():
@@ -366,6 +370,24 @@ def test_meta_from_instance_rejects_mismatched_graph():
                         annotations=meta_to_annotations(meta))
     with pytest.raises(SchemaError):
         meta_from_instance(instance)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("epsilon", None, "'epsilon'"),
+    ("num_vars", "three", "invalid literal for int() with base 10: 'three'"),
+    ("clauses", 7, "'int' object is not iterable"),
+])
+def test_meta_from_instance_rejects_malformed_annotations(key, value, message):
+    meta = sat_to_mcc(SAMPLE, BETA)
+    annotations = meta_to_annotations(meta)
+    if value is None:
+        del annotations["reduction"][key]
+    else:
+        annotations["reduction"][key] = value
+    instance = Instance(graph=meta.graph, beta=BETA, annotations=annotations)
+    with pytest.raises(SchemaError) as err:
+        meta_from_instance(instance)
+    assert str(err.value) == f"malformed reduction annotations: {message}"
 
 
 def test_meta_from_instance_requires_annotations():

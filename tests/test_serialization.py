@@ -15,6 +15,7 @@ from penalty_planner import (
     InstanceSyntaxError,
     SchemaError,
     TaskGraph,
+    UnknownEdgeError,
     ValidationError,
     gen_alice,
     gen_noopt,
@@ -212,13 +213,6 @@ def test_parse_flags_graph_violations():
     assert instance.graph.edges
 
 
-def test_parse_rejects_extra_cost_on_missing_edge():
-    doc = json.loads(serialize(gen_alice(3)))
-    doc["extra_costs"] = [{"from": 2, "to": 0, "extra": "1"}]
-    with pytest.raises(SchemaError):
-        parse(json.dumps(doc))
-
-
 def test_parse_rejects_negative_reward():
     doc = json.loads(serialize(gen_alice(3)))
     doc["reward"] = "-1"
@@ -263,13 +257,28 @@ def _set(key, value):
     (_set("extra_costs", {}), "extra_costs must be a list"),
     (_set("extra_costs", [{"from": 0, "to": 1, "extra": x} for x in ("1", "2")]),
      r"duplicate extra cost for edge \(0, 1\)"),
+    (_set("extra_costs", [{"from": 2, "to": 0, "extra": "1"}]),
+     r"configuration references missing edge \(2, 0\)"),
+    (_set("extra_costs", [{"from": 0, "to": 9, "extra": "0"}]),
+     r"configuration references missing edge \(0, 9\)"),
 ], ids=["root-type", "schema-version", "node-entry", "edge-entry", "extra-entry",
         "source-type", "target-bool", "nodes-type", "edge-key-type", "beta-above-one",
-        "beta-zero", "annotations-type", "extra-costs-type", "duplicate-extra"])
+        "beta-zero", "annotations-type", "extra-costs-type", "duplicate-extra",
+        "extra-on-missing-edge", "zero-extra-on-missing-edge"])
 def test_parse_rejects_malformed_documents(mutate, message):
     doc = mutate(json.loads(serialize(gen_alice(3))))
     with pytest.raises(SchemaError, match=f"^{message}$"):
         parse(json.dumps(doc))
+
+
+def test_writers_reject_a_configuration_naming_a_missing_edge():
+    inst = gen_alice(3)
+    for write in (serialize, to_dot):
+        with pytest.raises(UnknownEdgeError,
+                           match=r"^configuration references missing edge \(0, 9\)$"):
+            write(inst, CostConfiguration({(0, 9): 1}))
+    # a scheme on an edge of the graph is written and read back
+    round_trip(inst, CostConfiguration({(0, 3): 1}))
 
 
 def test_parse_rejects_sparse_node_ids():
