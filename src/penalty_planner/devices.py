@@ -412,11 +412,14 @@ def minmax_path_approx(graph: TaskGraph, beta: RationalLike) -> ApproxResult:
     p_edges = set(zip(path, path[1:]))
     p_nodes = set(path)
     # most expensive edge on each node's successor chain up to the next
-    # minmax-path node, in one pass: a successor comes later in topological order
-    seg: dict[int, Fraction] = {}
+    # minmax-path node, in one pass over the scaled integer costs: a
+    # successor comes later in topological order
+    icost, scale = scaled_costs(graph, None)
+    seg: dict[int, int] = {}
     for v in reversed(graph.topological_order()):
         if v != graph.target:
-            seg[v] = max(graph.cost(v, sig[v]), ZERO if sig[v] in p_nodes else seg[sig[v]])
+            w = sig[v]
+            seg[v] = max(icost[graph.edge_index(v, w)], 0 if w in p_nodes else seg[w])
     prohibitive = 3 * rho / b
     extra: dict[tuple[int, int], Fraction] = {}
     for e in graph.edges:
@@ -426,7 +429,7 @@ def minmax_path_approx(graph: TaskGraph, beta: RationalLike) -> ApproxResult:
         if sig[e.tail] != e.head:
             extra[key] = prohibitive
         elif e.tail in p_nodes:
-            extra[key] = seg[e.tail]
+            extra[key] = Fraction(seg[e.tail], scale)
     config = CostConfiguration(extra)
     guaranteed = 2 * rho / b
     report = is_motivating(graph, config, b, guaranteed)

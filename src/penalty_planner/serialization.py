@@ -2,8 +2,10 @@
 
 Instances are UTF-8 JSON with all rationals encoded as lowest-terms "p/q"
 strings (plain "p" for integers); JSON numbers cannot represent exact
-fractions. Keys are emitted sorted and lists in canonical order, so
-serialization is byte-stable and parse(serialize(x)) reproduces x.
+fractions. `parse` accepts an optional sign, ASCII digits and an optional
+"/digits", nothing else, and parses each distinct string once. Keys are
+emitted sorted and lists in canonical order, so serialization is
+byte-stable and parse(serialize(x)) reproduces x.
 One file may carry both an instance and a penalty configuration, making
 solver outputs self-contained and replayable.
 """
@@ -11,6 +13,7 @@ solver outputs self-contained and replayable.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring
 from fractions import Fraction
 from typing import Any, Iterable
@@ -26,13 +29,30 @@ def format_rational(value: Fraction) -> str:
     return str(as_rational(value))
 
 
-def parse_rational(text: Any, where: str) -> Fraction:
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: Any, where: str, known: dict[str, Fraction]) -> Fraction:
+    """The value of a rational string of the document, parsed once per string.
+
+    `known` maps each string already read to its value, so equal strings
+    share one Fraction. Only the documented forms are accepted: decimals and
+    exponents are refused before they are parsed, because Fraction("1e7000000")
+    runs for seconds."""
     if not isinstance(text, str):
         raise SchemaError(f"{where}: rational must be a string, got {text!r}")
-    try:
-        return as_rational(text)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    value = known.get(text)
+    if value is None:
+        match = _RATIONAL.fullmatch(text)
+        if match is not None:
+            try:
+                value = Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):  # too many digits for int(), or q = 0
+                pass
+        if value is None:
+            raise SchemaError(f"{where}: not a rational: {text!r}")
+        known[text] = value
+    return value
 
 
 # one list item each, at the indentation of a list that is a top-level value
@@ -127,6 +147,7 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
         seen_ids.add(node_id)
         labels[node_id] = entry.get("label")
 
+    known: dict[str, Fraction] = {}
     raw_edges = _require(doc, "edges", list)
     edges: list[tuple[int, int, Fraction]] = []
     for entry in raw_edges:
@@ -134,18 +155,18 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
             raise SchemaError("edges entries must be objects")
         tail = _require(entry, "from", int, "edge")
         head = _require(entry, "to", int, "edge")
-        cost = parse_rational(_require(entry, "cost", object, "edge"), "edge cost")
+        cost = parse_rational(_require(entry, "cost", object, "edge"), "edge cost", known)
         edges.append((tail, head, cost))
 
     source = _require(doc, "source", int)
     target = _require(doc, "target", int)
-    beta_raw = parse_rational(_require(doc, "beta", object), "beta")
+    beta_raw = parse_rational(_require(doc, "beta", object), "beta", known)
     if not 0 < beta_raw <= 1:
         raise SchemaError(f"beta must lie in (0, 1], got {beta_raw}")
 
     reward = None
     if "reward" in doc:
-        reward = parse_rational(doc["reward"], "reward")
+        reward = parse_rational(doc["reward"], "reward", known)
         if reward < 0:
             raise SchemaError(f"reward must be nonnegative, got {reward}")
 
@@ -173,7 +194,8 @@ def parse(text: str, *, check: bool = True) -> tuple[Instance, CostConfiguration
                 raise SchemaError("extra_costs entries must be objects")
             tail = _require(entry, "from", int, "extra")
             head = _require(entry, "to", int, "extra")
-            value = parse_rational(_require(entry, "extra", object, "extra"), "extra cost")
+            value = parse_rational(_require(entry, "extra", object, "extra"), "extra cost",
+                                   known)
             if (tail, head) in extra:
                 raise SchemaError(f"duplicate extra cost for edge ({tail}, {head})")
             extra[(tail, head)] = value

@@ -455,6 +455,14 @@ def test_approx_extras_match_the_chain_walk_oracle(seed):
         assert minmax_path_approx(g, beta).config == brute_approx_config(g, beta)
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_approx_extras_match_the_chain_walk_oracle_on_rational_costs(seed):
+    # p/q costs give scaled_costs a unit above 1, which each charged extra divides out
+    g = gen_random(2 + seed % 12, 0.5, seed=3300 + seed).graph
+    for beta in (F(1, 3), F(3, 4)):
+        assert minmax_path_approx(g, beta).config == brute_approx_config(g, beta)
+
+
 def shared_chain(k, length):
     """Path nodes 0..k-1 before the target k, on edges of cost 1; each path
     node also has a free edge into one chain of `length` nodes joined by

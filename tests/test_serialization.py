@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -179,6 +180,80 @@ def test_parse_rejects_zero_denominator():
     broken = text.replace('"cost": "1"', '"cost": "1/0"')
     with pytest.raises(SchemaError):
         parse(broken)
+
+
+def rational_document(costs, extras=(), beta="1/3", reward=None):
+    """gen_alice(3)'s document with the given cost, extra, beta and reward
+    values: costs in edge order, extras on the first edges."""
+    doc = json.loads(serialize(gen_alice(3)))
+    for entry, cost in zip(doc["edges"], costs, strict=True):
+        entry["cost"] = cost
+    doc["extra_costs"] = [{"from": e["from"], "to": e["to"], "extra": x}
+                          for e, x in zip(doc["edges"], extras)]
+    doc["beta"] = beta
+    if reward is None:
+        del doc["reward"]
+    else:
+        doc["reward"] = reward
+    return json.dumps(doc)
+
+
+def test_parse_reads_repeated_and_non_canonical_strings_exactly():
+    costs = ["2/4", "1/2", "+3", "2/4", "007/14"]
+    extras = ["+3", "2/4", "6/4", "0/5"]
+    instance, config = parse(rational_document(costs, extras, beta="2/4", reward="+3"))
+    edges = sorted(instance.graph.edges, key=lambda e: (e.tail, e.head))
+    assert [e.cost for e in edges] == [F(s) for s in costs]
+    assert [config.get(e.tail, e.head) for e in edges[:4]] == [F(x) for x in extras]
+    assert (instance.beta, instance.reward) == (F(1, 2), F(3))
+
+
+def test_parse_shares_one_value_per_distinct_string():
+    costs = ["2/4", "1/2", "2/4", "3", "2/4"]
+    instance, config = parse(rational_document(costs, ["3"], beta="2/4", reward="3"))
+    edges = sorted(instance.graph.edges, key=lambda e: (e.tail, e.head))
+    assert edges[0].cost is edges[2].cost is edges[4].cost is instance.beta
+    assert edges[3].cost is instance.reward is config.get(edges[0].tail, edges[0].head)
+    # an equal value written differently is parsed on its own
+    assert edges[1].cost == edges[0].cost and edges[1].cost is not edges[0].cost
+
+
+@pytest.mark.parametrize("costs,extras,beta,reward,message", [
+    (["1", "x", "1", "x", "1"], [], "1/3", None, "edge cost: not a rational: 'x'"),
+    (["1", "1/0", "1", "1", "1"], [], "1/3", None, "edge cost: not a rational: '1/0'"),
+    (["1"] * 5, ["1/0"], "1/0", None, "beta: not a rational: '1/0'"),
+    (["1"] * 5, ["x"], "1/3", "x", "reward: not a rational: 'x'"),
+    (["1"] * 5, ["1", "x"], "1/3", "1", "extra cost: not a rational: 'x'"),
+], ids=["cost", "zero-denominator", "beta-then-extra", "reward-then-extra", "extra"])
+def test_parse_reports_a_bad_string_at_its_first_occurrence(costs, extras, beta, reward,
+                                                             message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse(rational_document(costs, extras, beta, reward))
+
+
+@pytest.mark.parametrize("costs,extras,beta,message", [
+    (["1", 1, "1", "1", "1"], [], "1/3", "edge cost: rational must be a string, got 1"),
+    (["1", "1", True, "1", "1"], [], "1/3",
+     "edge cost: rational must be a string, got True"),
+    (["1", ["1"], "1", "1", "1"], [], "1/3",
+     "edge cost: rational must be a string, got ['1']"),
+    (["1/3"] * 5, [], 1, "beta: rational must be a string, got 1"),
+    (["1"] * 5, ["1", 1], "1/3", "extra cost: rational must be a string, got 1"),
+], ids=["int-cost", "bool-cost", "list-cost", "int-beta", "int-extra"])
+def test_parse_refuses_a_non_string_after_the_same_value_as_a_string(costs, extras, beta,
+                                                                    message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse(rational_document(costs, extras, beta))
+
+
+@pytest.mark.parametrize("text", [
+    "1e7000000", "1e3", "0.5", "1.", ".5", " 1", "1 ", "1/2 ", "1_000", "\u0661",
+    "1/-2", "1/+2", "", "+", "/2", "1/", "inf", "nan", "1/2/3",
+])
+def test_parse_accepts_only_integers_and_p_over_q(text):
+    # Fraction(text) accepts the first ten, and spends seconds on "1e7000000"
+    with pytest.raises(SchemaError, match=f"^edge cost: not a rational: {re.escape(repr(text))}$"):
+        parse(rational_document(["1", "1", text, "1", "1"]))
 
 
 def test_parse_rejects_missing_target():
