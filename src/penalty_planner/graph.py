@@ -12,6 +12,7 @@ rejected at the boundary.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,11 +29,15 @@ from .errors import (
 RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # see as_rational
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, a 'p/q' string, or a Fraction to an exact Fraction.
 
+    A string is an optional sign, ASCII digits and an optional "/digits", the
+    one grammar for files, command-line values and API strings; other forms
+    are refused unparsed (Fraction("1e7000000") runs for seconds).
     Floats are rejected: silently converting them would change tie semantics.
     """
     if isinstance(value, Fraction):
@@ -42,10 +47,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            if match is not None:
+                return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits for int(), or q = 0
+            pass
+        raise ValueError(f"not a rational: {value!r}")
     raise TypeError(f"exact rational required, got {type(value).__name__} ({value!r})")
 
 
@@ -310,7 +318,8 @@ def scaled_costs(graph: TaskGraph, config: CostConfiguration | Mapping | None
     they are returned as that shared tuple. A configuration rescales a copy
     and adds each of its entries at every edge from its tail to its head."""
     cfg = config if isinstance(config, CostConfiguration) else CostConfiguration(config, graph)
-    cfg.check_for(graph)
+    if cfg is config:  # converting a mapping checked its keys
+        cfg.check_for(graph)
     if graph._scaled is None:
         costs = [e.cost for e in graph.edges]
         unit = lcm(*{c.denominator for c in costs})

@@ -30,6 +30,7 @@ from .graph import (
     check_bias,
 )
 from .instances import Instance
+from .serialization import _require, parse_rational
 
 Clause = tuple[int, int, int]
 AssignmentLike = Union[Mapping[int, bool], Sequence[bool], str]
@@ -364,20 +365,21 @@ def meta_from_instance(instance: Instance) -> ReductionMeta:
     """Rebuild a ReductionMeta from an annotated instance file.
 
     The reduction is reconstructed from the stored formula and parameters,
-    then checked structurally against the file's graph.
+    read with `parse`'s type rules (a mistyped one is a SchemaError naming
+    it), then checked structurally against the file's graph.
     """
     annotations = instance.annotations or {}
     red = annotations.get("reduction")
     if not isinstance(red, dict) or red.get("type") != "3sat":
         raise SchemaError("instance carries no 3sat reduction annotations")
-    try:
-        formula = CnfFormula(
-            num_vars=int(red["num_vars"]),
-            clauses=tuple(tuple(int(lit) for lit in clause) for clause in red["clauses"]))
-        epsilon = as_rational(str(red["epsilon"]))
-        gap = bool(red["gap"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed reduction annotations: {exc}") from None
+    where = "reduction annotations"
+    num_vars = _require(red, "num_vars", int, where)
+    clauses = _require(red, "clauses", list, where)
+    if not all(isinstance(c, list) and all(type(lit) is int for lit in c) for c in clauses):
+        raise SchemaError(f"{where}: key 'clauses' must be lists of int")
+    epsilon = parse_rational(_require(red, "epsilon", object, where), "reduction epsilon", {})
+    gap = _require(red, "gap", bool, where)
+    formula = CnfFormula(num_vars, tuple(tuple(clause) for clause in clauses))
     meta = sat_to_mcc(formula, instance.beta, epsilon=epsilon, gap=gap)
     if meta.graph != instance.graph:
         raise SchemaError("reduction annotations do not match the stored graph")

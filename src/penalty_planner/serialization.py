@@ -2,9 +2,9 @@
 
 Instances are UTF-8 JSON with all rationals encoded as lowest-terms "p/q"
 strings (plain "p" for integers); JSON numbers cannot represent exact
-fractions. `parse` accepts an optional sign, ASCII digits and an optional
-"/digits", nothing else, and parses each distinct string once. Keys are
-emitted sorted and lists in canonical order, so serialization is
+fractions. `parse` reads each distinct string once, with `as_rational`:
+an optional sign, ASCII digits and an optional "/digits", nothing else.
+Keys are emitted sorted and lists in canonical order, so serialization is
 byte-stable and parse(serialize(x)) reproduces x.
 One file may carry both an instance and a penalty configuration, making
 solver outputs self-contained and replayable.
@@ -13,7 +13,6 @@ solver outputs self-contained and replayable.
 from __future__ import annotations
 
 import json
-import re
 from json.encoder import encode_basestring
 from fractions import Fraction
 from typing import Any, Iterable
@@ -29,29 +28,19 @@ def format_rational(value: Fraction) -> str:
     return str(as_rational(value))
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rational(text: Any, where: str, known: dict[str, Fraction]) -> Fraction:
     """The value of a rational string of the document, parsed once per string.
 
     `known` maps each string already read to its value, so equal strings
-    share one Fraction. Only the documented forms are accepted: decimals and
-    exponents are refused before they are parsed, because Fraction("1e7000000")
-    runs for seconds."""
+    share one Fraction; a new string goes to `as_rational`."""
     if not isinstance(text, str):
         raise SchemaError(f"{where}: rational must be a string, got {text!r}")
     value = known.get(text)
     if value is None:
-        match = _RATIONAL.fullmatch(text)
-        if match is not None:
-            try:
-                value = Fraction(int(match[1]), int(match[2] or 1))
-            except (ValueError, ZeroDivisionError):  # too many digits for int(), or q = 0
-                pass
-        if value is None:
-            raise SchemaError(f"{where}: not a rational: {text!r}")
-        known[text] = value
+        try:
+            value = known[text] = as_rational(text)
+        except ValueError:
+            raise SchemaError(f"{where}: not a rational: {text!r}") from None
     return value
 
 

@@ -317,13 +317,22 @@ def test_count_below_zero_is_usage_error(tmp_path, capsys, command, flag, value)
     assert flag in capsys.readouterr().err
 
 
-def test_reward_that_is_not_a_rational_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["simulate", "FILE", "--reward", "abc"],
+    ["simulate", "FILE", "--reward", "1e7000000"],
+    ["gen", "noopt", "--beta", "0.5"],
+    ["gen", "ratio", "--beta", "1/2", "--epsilon", " 1/10"],
+], ids=["reward-word", "reward-exponent", "beta-decimal", "epsilon-padded"])
+def test_reward_that_is_not_a_rational_is_usage_error(tmp_path, capsys, argv):
+    # Fraction(str) takes the last three, and spends seconds on "1e7000000"
     path = tmp_path / "g.json"
     run(capsys, "gen", "noopt", "--beta", "1/2", "-o", str(path))
+    flag, value = argv[-2:]
     with pytest.raises(SystemExit) as err:
-        main(["simulate", str(path), "--reward", "abc"])
+        main([str(path) if arg == "FILE" else arg for arg in argv])
     assert err.value.code == 2
-    assert capsys.readouterr().err.endswith("error: argument --reward: not a rational: 'abc'\n")
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: not a rational: {value!r}\n")
 
 
 @pytest.mark.parametrize("argv,flag", [

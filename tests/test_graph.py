@@ -41,7 +41,7 @@ def test_as_rational_accepts_exact_forms():
     assert as_rational("3/4") == F(3, 4)
     assert as_rational(5) == F(5)
     assert as_rational(F(1, 3)) == F(1, 3)
-    assert as_rational("1.5") == F(3, 2)
+    assert as_rational("-007/14") == F(-1, 2)
 
 
 def test_as_rational_rejects_floats_and_junk():
@@ -53,6 +53,8 @@ def test_as_rational_rejects_floats_and_junk():
         as_rational("1/0")
     with pytest.raises(ValueError):
         as_rational("cheap")
+    with pytest.raises(ValueError, match=r"^not a rational: '1\.5'$"):
+        as_rational("1.5")  # a decimal is not a p/q string
 
 
 def test_check_bias_bounds():

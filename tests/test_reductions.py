@@ -1,5 +1,6 @@
 """3-SAT reduction: structure, margins, translations, small-scale decisions."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -372,22 +373,59 @@ def test_meta_from_instance_rejects_mismatched_graph():
         meta_from_instance(instance)
 
 
+def reduction_document(**changes) -> str:
+    """SAMPLE as `reduce3sat --beta 1/5 --epsilon 1/1000` writes it, with some
+    reduction annotations changed (None deletes the key)."""
+    meta = sat_to_mcc(SAMPLE, BETA, epsilon=F(1, 1000))
+    doc = json.loads(serialize(Instance(graph=meta.graph, beta=meta.beta, reward=meta.reward,
+                                        annotations=meta_to_annotations(meta))))
+    reduction = doc["annotations"]["reduction"]
+    for key, value in changes.items():
+        if value is None:
+            del reduction[key]
+        else:
+            reduction[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("gap,reward", [(False, F(5)), (True, F(3381, 625))])
+def test_meta_from_instance_reads_gap_as_a_json_bool(gap, reward):
+    meta = meta_from_instance(parse(reduction_document(gap=gap))[0])
+    assert meta.gap is gap
+    assert meta.epsilon == F(1, 1000)
+    assert meta.extraction_reward == reward
+
+
 @pytest.mark.parametrize("key,value,message", [
-    ("epsilon", None, "'epsilon'"),
-    ("num_vars", "three", "invalid literal for int() with base 10: 'three'"),
-    ("clauses", 7, "'int' object is not iterable"),
+    pytest.param("epsilon", None, "reduction annotations: missing key 'epsilon'",
+                 id="epsilon-missing"),
+    pytest.param("num_vars", "three", "reduction annotations: key 'num_vars' must be int",
+                 id="num_vars-string"),
+    # int() read 3.9 as 3, and True as 1
+    pytest.param("num_vars", 3.9, "reduction annotations: key 'num_vars' must be int",
+                 id="num_vars-float"),
+    pytest.param("num_vars", True, "reduction annotations: key 'num_vars' must be int",
+                 id="num_vars-bool"),
+    pytest.param("clauses", 7, "reduction annotations: key 'clauses' must be list",
+                 id="clauses-int"),
+    pytest.param("clauses", [[-1, 2, 3], 7], "reduction annotations: key 'clauses' must be "
+                 "lists of int", id="clause-int"),
+    pytest.param("clauses", [[-1, 2, 3], [1, -2, -3], [True, -2, 3]],
+                 "reduction annotations: key 'clauses' must be lists of int",
+                 id="literal-bool"),
+    pytest.param("epsilon", 0.001, "reduction epsilon: rational must be a string, got 0.001",
+                 id="epsilon-number"),
+    pytest.param("epsilon", "1e-3", "reduction epsilon: not a rational: '1e-3'",
+                 id="epsilon-exponent"),
+    # bool("false") is True: the gap variant's extraction reward 3381/625, not 5
+    pytest.param("gap", "false", "reduction annotations: key 'gap' must be bool",
+                 id="gap-string"),
 ])
 def test_meta_from_instance_rejects_malformed_annotations(key, value, message):
-    meta = sat_to_mcc(SAMPLE, BETA)
-    annotations = meta_to_annotations(meta)
-    if value is None:
-        del annotations["reduction"][key]
-    else:
-        annotations["reduction"][key] = value
-    instance = Instance(graph=meta.graph, beta=BETA, annotations=annotations)
+    instance, _ = parse(reduction_document(**{key: value}))
     with pytest.raises(SchemaError) as err:
         meta_from_instance(instance)
-    assert str(err.value) == f"malformed reduction annotations: {message}"
+    assert str(err.value) == message
 
 
 def test_meta_from_instance_requires_annotations():

@@ -18,6 +18,7 @@ from penalty_planner import (
     TaskGraph,
     UnknownEdgeError,
     ValidationError,
+    as_rational,
     gen_alice,
     gen_noopt,
     gen_random,
@@ -251,9 +252,12 @@ def test_parse_refuses_a_non_string_after_the_same_value_as_a_string(costs, extr
     "1/-2", "1/+2", "", "+", "/2", "1/", "inf", "nan", "1/2/3",
 ])
 def test_parse_accepts_only_integers_and_p_over_q(text):
-    # Fraction(text) accepts the first ten, and spends seconds on "1e7000000"
+    # Fraction(text) accepts the first ten, and spends seconds on "1e7000000";
+    # as_rational, which reads command-line values, has the same grammar
     with pytest.raises(SchemaError, match=f"^edge cost: not a rational: {re.escape(repr(text))}$"):
         parse(rational_document(["1", "1", text, "1", "1"]))
+    with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(text))}$"):
+        as_rational(text)
 
 
 def test_parse_rejects_missing_target():
