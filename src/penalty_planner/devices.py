@@ -136,13 +136,16 @@ class InfimumResult:
     `value` is the infimum of rewards admitting a motivating penalty scheme
     (it may not be attained by any single scheme); `path` is a witness whose
     fences approach it. Both are always set: the search scores a path before
-    the path budget (at least 1) can stop it. When the budget is hit,
-    `exhausted` is set and the incumbent so far is returned. `expansions`
-    counts the partial paths (suffixes ending at the target, the bare target
-    included) that were fenced and had their in-edges scanned; a suffix
-    skipped as dominated is fenced but not counted, and neither are the
-    paths below it. On a one-node graph the bare target is the one path
-    scored and the one expansion.
+    the path budget (at least 1) can stop it. The budget binds only in the
+    full round, since the probe round stops at the first path it scores.
+    When the budget is hit, `exhausted` is set and the incumbent so far is
+    returned. `expansions` counts the partial paths (suffixes ending at the
+    target, the bare target included) that were fenced and had their
+    in-edges scanned; a suffix skipped as dominated is fenced but not
+    counted, and neither are the paths below it. Both counters sum the two
+    rounds, so a search that needs the full round counts the bare target
+    twice. On a one-node graph the bare target is the one path scored and
+    the one expansion.
     """
 
     value: Fraction
@@ -170,6 +173,15 @@ def exact_infimum(graph: TaskGraph,
     changed since the last sweep. It also skips a suffix that a fully
     searched one dominates: same head, same distances on the head's
     frontier, and no smaller suffix maximum.
+
+    The bottleneck at the target, before any fence, is `minmax_path`'s rho:
+    a lower bound on every path's value. A probe round first runs the
+    search under a virtual incumbent just above it, so it prunes only what
+    lies above rho, and the first path it scores is optimal. If it scores
+    none, every value is at least the least value it pruned; the full round
+    then searches as above, with a fresh dominance memo, and stops once its
+    incumbent reaches that floor. Neither stop changes the value or the
+    witness: of all optimal paths, the witness is the first in search order.
     """
     b = check_bias(beta)
     if path_budget < 1:
@@ -218,104 +230,129 @@ def exact_infimum(graph: TaskGraph,
             into[heads[i]] |= reach
     frontier: dict[int, itemgetter] = {}  # head -> its frontier distances
     done: dict[tuple, int] = {}  # (head, frontier distances) -> least searched eta_max
-
-    best: int | None = None  # incumbent perceived cost, in unit/q
-    best_path: tuple[int, ...] = ()
-    evaluated, expansions, exhausted = 0, 1, False
     log: list[tuple[int, int]] = []  # (node, distance before an update)
     # prefix bottleneck per node, valid for the current dist at topological
     # positions 1..fresh: the one at position x reads dist at positions <= x
     bneck, fresh = [0] * n, 0
-    # frame: head, next in-edge, suffix maximum, log length on entry, the
-    # prefix bounds of the in-edges' tails (computed once an incumbent
-    # exists), and the head's dominance key; the heads, top first, are the
-    # current suffix
-    stack: list[list] = [[target, 0, 0, 0, None, None]]
-    while stack:
-        frame = stack[-1]
-        head, k, eta_max, mark, bounds, key = frame
-        ins = in_idx[head]
-        if k == len(ins):  # backtrack: the subtree is fully searched (or skipped)
-            stack.pop()
-            for i in out_idx[head]:
-                extra[i] = 0
-            for u, old in reversed(log[mark:]):
-                dist[u] = old
-                fresh = min(fresh, pos[u] - 1)
-            del log[mark:]
-            if key is not None:
-                done[key] = eta_max
-            continue
-        frame[1] = k + 1
-        eidx = ins[k]
-        v = tails[eidx]
-        eta_on = qcost[eidx] + p * dist[head]
-        cand = eta_on if eta_on > eta_max else eta_max
-        if best is not None:
-            if cand >= best:
-                continue
-            if bounds is None:
-                # prefixes end before the head in topological order, so
-                # they avoid the suffix; every edge into u shares dist[u]
-                top = max(pos[tails[i]] for i in ins)
-                for u in topo[max(fresh, 0) + 1:top + 1]:  # the source's is 0
-                    pd, low = p * dist[u], None
-                    for i in in_idx[u]:
-                        eta = qcost[i] + pd
-                        if eta < bneck[tails[i]]:
-                            eta = bneck[tails[i]]
-                        if low is None or eta < low:
-                            low = eta
-                    bneck[u] = low
-                fresh = max(fresh, top)
-                bounds = frame[4] = [bneck[tails[i]] for i in ins]
-            if bounds[k] >= best:
-                continue
-        if v == source:
-            if evaluated >= path_budget:
-                exhausted = True
-                break
-            evaluated += 1
-            if best is None or cand < best:
-                best, best_path = cand, (v, *(f[0] for f in reversed(stack)))
-            continue
-        # fence v, then re-evaluate v and the ancestors whose out-neighbour distances
-        # changed, in reverse topological order: in place, as a full sweep costs O(n+m).
-        # Distances only rise, so a tail's minimum can change only through an edge
-        # that attained it: a tail is queued only along a tight edge.
-        for i in out_idx[v]:  # the on-path edge itself gets a bump of 0
-            bump = eta_on - qcost[i] - p * dist[heads[i]]
-            if bump > 0:
-                extra[i] = bump // q
-        heap, queued, mark = [-pos[v]], {v}, len(log)
-        while heap:
-            u = topo[-heappop(heap)]
-            du, old = min(cost[i] + extra[i] + dist[heads[i]] for i in out_idx[u]), dist[u]
-            if du != old:
-                log.append((u, old))
-                dist[u] = du
-                fresh = min(fresh, pos[u] - 1)
-                for i in in_idx[u]:
-                    t = tails[i]
-                    if t not in queued and cost[i] + extra[i] + old == dist[t]:
-                        queued.add(t)
-                        heappush(heap, -pos[t])
-        if v not in frontier:
-            bits, nodes = into[v] & ~anc[v], []
-            while bits:
-                nodes.append(bits.bit_length() - 1)
-                bits ^= 1 << nodes[-1]
-            frontier[v] = itemgetter(*nodes)  # v itself is among them
-        key = (v, frontier[v](dist))
-        # a searched suffix with the same key and no larger maximum found
-        # every completion's value or pruned it: nothing here improves
-        # strictly. Such a suffix enters with its in-edges used up, so the
-        # next step unfences it without recording it.
-        if done.get(key, cand + 1) <= cand:
-            stack.append([v, len(in_idx[v]), cand, mark, None, None])
-            continue
-        stack.append([v, 0, cand, mark, None, key])
+
+    def sweep(top: int) -> None:  # make the bottlenecks valid up to position top
+        nonlocal fresh
+        for u in topo[max(fresh, 0) + 1:top + 1]:  # the source's is 0
+            pd, low = p * dist[u], None
+            for i in in_idx[u]:
+                eta = qcost[i] + pd
+                if eta < bneck[tails[i]]:
+                    eta = bneck[tails[i]]
+                if low is None or eta < low:
+                    low = eta
+            bneck[u] = low
+        fresh = max(fresh, top)
+
+    # the target's bottleneck before any fence, theta, bounds every path's
+    # value from below (fences only raise distances). Each round stops once
+    # its incumbent reaches its floor: theta for the probe, whose virtual
+    # incumbent is theta+1, and then the least value the probe pruned
+    sweep(pos[target])
+    floor = bneck[target]
+    best: int | None = floor + 1  # incumbent perceived cost, in unit/q
+    best_path: tuple[int, ...] = ()
+    pruned: int | None = None  # least value pruned; read after the probe
+    evaluated, expansions, exhausted = 0, 0, False
+    while True:
+        # frame: head, next in-edge, suffix maximum, log length on entry, the
+        # prefix bounds of the in-edges' tails (computed once an incumbent
+        # exists), and the head's dominance key; the heads, top first, are
+        # the current suffix
+        stack: list[list] = [[target, 0, 0, 0, None, None]]
         expansions += 1
+        while stack:
+            frame = stack[-1]
+            head, k, eta_max, mark, bounds, key = frame
+            ins = in_idx[head]
+            if k == len(ins):  # backtrack: the subtree is fully searched (or skipped)
+                stack.pop()
+                for i in out_idx[head]:
+                    extra[i] = 0
+                for u, old in reversed(log[mark:]):
+                    dist[u] = old
+                    fresh = min(fresh, pos[u] - 1)
+                del log[mark:]
+                if key is not None:
+                    done[key] = eta_max
+                continue
+            frame[1] = k + 1
+            eidx = ins[k]
+            v = tails[eidx]
+            eta_on = qcost[eidx] + p * dist[head]
+            cand = eta_on if eta_on > eta_max else eta_max
+            if best is not None:
+                if cand >= best:
+                    if pruned is None or cand < pruned:
+                        pruned = cand
+                    continue
+                if bounds is None:
+                    # prefixes end before the head in topological order, so
+                    # they avoid the suffix; every edge into u shares dist[u]
+                    top = max(pos[tails[i]] for i in ins)
+                    sweep(top)
+                    bounds = frame[4] = [bneck[tails[i]] for i in ins]
+                if bounds[k] >= best:
+                    if pruned is None or bounds[k] < pruned:
+                        pruned = bounds[k]
+                    continue
+            if v == source:
+                if evaluated >= path_budget:
+                    exhausted = True
+                    break
+                evaluated += 1
+                if best is None or cand < best:
+                    best, best_path = cand, (v, *(f[0] for f in reversed(stack)))
+                    if best <= floor:
+                        break
+                continue
+            # fence v, then re-evaluate v and the ancestors whose out-neighbour distances
+            # changed, in reverse topological order: in place, as a full sweep costs O(n+m).
+            # Distances only rise, so a tail's minimum can change only through an edge
+            # that attained it: a tail is queued only along a tight edge.
+            for i in out_idx[v]:  # the on-path edge itself gets a bump of 0
+                bump = eta_on - qcost[i] - p * dist[heads[i]]
+                if bump > 0:
+                    extra[i] = bump // q
+            heap, queued, mark = [-pos[v]], {v}, len(log)
+            while heap:
+                u = topo[-heappop(heap)]
+                du, old = min(cost[i] + extra[i] + dist[heads[i]] for i in out_idx[u]), dist[u]
+                if du != old:
+                    log.append((u, old))
+                    dist[u] = du
+                    fresh = min(fresh, pos[u] - 1)
+                    for i in in_idx[u]:
+                        t = tails[i]
+                        if t not in queued and cost[i] + extra[i] + old == dist[t]:
+                            queued.add(t)
+                            heappush(heap, -pos[t])
+            if v not in frontier:
+                bits, nodes = into[v] & ~anc[v], []
+                while bits:
+                    nodes.append(bits.bit_length() - 1)
+                    bits ^= 1 << nodes[-1]
+                frontier[v] = itemgetter(*nodes)  # v itself is among them
+            key = (v, frontier[v](dist))
+            # a searched suffix with the same key and no larger maximum found
+            # every completion's value or pruned it: nothing here improves
+            # strictly. Such a suffix enters with its in-edges used up, so the
+            # next step unfences it without recording it.
+            if done.get(key, cand + 1) <= cand:
+                stack.append([v, len(in_idx[v]), cand, mark, None, None])
+                continue
+            stack.append([v, 0, cand, mark, None, key])
+            expansions += 1
+        if best_path:  # a round scored a path: it is the answer
+            break
+        # the probe scored nothing and has undone its fences; its memo
+        # entries hold only under its virtual incumbent
+        best, floor = None, pruned
+        done.clear()
 
     return InfimumResult(value=Fraction(best, unit * p), path=best_path,
                          exhausted=exhausted, paths_evaluated=evaluated,

@@ -122,7 +122,11 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def normalize_assignment(num_vars: int, tau: AssignmentLike) -> dict[int, bool]:
-    """Accept a mapping, a bool sequence, or a 'TFT...' / '101...' string."""
+    """Accept a mapping, a bool sequence, or a 'TFT...' / '101...' string.
+
+    A mapping's keys must be ints and its values bools, and a sequence's
+    items bools: nothing is coerced, so 'false', 0 or 1.5 is refused.
+    """
     if isinstance(tau, str):
         values = []
         for ch in tau.strip():
@@ -132,11 +136,16 @@ def normalize_assignment(num_vars: int, tau: AssignmentLike) -> dict[int, bool]:
                 values.append(False)
             else:
                 raise IncompleteAssignmentError(f"bad truth value {ch!r}")
-        out = {k + 1: v for k, v in enumerate(values)}
-    elif isinstance(tau, Mapping):
-        out = {int(k): bool(v) for k, v in tau.items()}
-    else:
-        out = {k + 1: bool(v) for k, v in enumerate(tau)}
+        tau = values
+    out: dict[int, bool] = {}
+    for k, v in tau.items() if isinstance(tau, Mapping) else enumerate(tau, 1):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise IncompleteAssignmentError(f"variable {k!r} is not an integer "
+                                            f"(truth value {v!r})")
+        if not isinstance(v, bool):
+            raise IncompleteAssignmentError(f"variable {k} has truth value {v!r}, "
+                                            "not True or False")
+        out[k] = v
     missing = [k for k in range(1, num_vars + 1) if k not in out]
     if missing:
         raise IncompleteAssignmentError(f"assignment misses variables {missing}")

@@ -87,6 +87,16 @@ def brute_infimum(graph: TaskGraph, beta) -> tuple[Fraction, tuple[int, ...]]:
     return best, best_path
 
 
+def first_optimal_path(graph: TaskGraph, beta) -> tuple[Fraction, tuple[int, ...]]:
+    """The least limiting fence value, and the first path attaining it in
+    the exact search's order: paths grown back from the target, in-edges
+    by tail id, that is every path read backwards, least first."""
+    scored = [(brute_fence(graph, beta, p, 0)[1], p)
+              for p in sorted(all_paths(graph), key=lambda p: p[::-1])]
+    best = min(value for value, _ in scored)
+    return next((value, p) for value, p in scored if value == best)
+
+
 def brute_minmax_path(graph: TaskGraph, beta) -> tuple[tuple[int, ...], Fraction]:
     """The minmax path by edge insertion: edges go in one at a time by
     (unmodified perceived cost, edge index) until the target is reachable,

@@ -190,17 +190,18 @@ def test_planning_commands_refuse_a_dead_end(tmp_path, capsys, command):
 
 
 def test_exact_warns_when_the_budget_stops_the_search(tmp_path, capsys):
-    # one scored path is not the optimum here, so --budget 1 cuts the search
-    path = tmp_path / "g.json"
-    run(capsys, "gen", "random", "--n", "9", "--density", "0.6", "--beta", "1/2",
-        "--max-numerator", "1", "--max-denominator", "1", "--seed", "3", "-o", str(path))
+    # the formula is unsatisfiable, so the probe round scores no path, and
+    # the full round's first path is not the optimum: --budget 1 cuts it
+    cnf, path = tmp_path / "f.cnf", tmp_path / "g.json"
+    cnf.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")
+    run(capsys, "reduce3sat", str(cnf), "--beta", "1/5", "-o", str(path))
     code, out, _ = run(capsys, "exact", str(path), "--budget", "1")
     assert code == 0
-    assert out.splitlines()[0] == "infimum of motivating rewards: 2"
+    assert out.splitlines()[0] == "infimum of motivating rewards: 9"
     assert out.splitlines()[-1] == ("warning: path budget hit after 1 paths; "
                                     "value is an upper bound only")
     code, out, _ = run(capsys, "exact", str(path))
-    assert "infimum of motivating rewards: 0" in out
+    assert "infimum of motivating rewards: 657/125" in out
     assert "warning" not in out
 
 

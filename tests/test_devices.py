@@ -8,6 +8,7 @@ import pytest
 
 from penalty_planner import (
     BudgetExceededError,
+    CnfFormula,
     CostConfiguration,
     DisconnectedError,
     InvalidPathError,
@@ -30,6 +31,7 @@ from penalty_planner import (
     minmax_path_approx,
     path_and_fence,
     reachable_by_ties,
+    sat_to_mcc,
     successor_map,
     tie_walk,
 )
@@ -40,6 +42,7 @@ from oracles import (
     brute_infimum,
     brute_min_reward,
     brute_minmax_path,
+    first_optimal_path,
     materialize_subgraph,
     random_config,
 )
@@ -235,7 +238,7 @@ def test_exact_infimum_long_chain_work():
     # re-sweeping every earlier position made this quadratic (seconds)
     inst = gen_alice(3000)
     result = exact_infimum(inst.graph, inst.beta)
-    assert (result.value, result.paths_evaluated, result.expansions) == (6, 2, 3000)
+    assert (result.value, result.paths_evaluated, result.expansions) == (6, 1, 3000)
     assert result.path == tuple(range(3001))
 
 
@@ -276,6 +279,34 @@ def test_exact_infimum_witness_is_first_optimal_path_in_search_order(seed):
     assert result.path == min(optimal, key=lambda p: p[::-1])
 
 
+@pytest.mark.parametrize("seed", range(300))
+def test_exact_infimum_witness_matches_first_optimal_path_oracle(seed):
+    # tie-heavy graphs: costs in {0, 1}, or in {0, 1/2, 1, 2} for every
+    # fourth seed; about 2 in 5 have several optimal paths. The search may
+    # stop early (at the first path the probe round scores, or at the proven
+    # floor), but value and witness are those of enumeration in its order
+    beta = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)][seed % 5]
+    bound = 2 if seed % 4 == 0 else 1
+    g = gen_random(4 + seed % 7, [0.4, 0.55, 0.7][seed % 3], beta, seed=4100 + seed,
+                   max_numerator=bound, max_denominator=bound).graph
+    result = exact_infimum(g, beta)
+    assert (result.value, result.path) == first_optimal_path(g, beta)
+    assert not result.exhausted
+
+
+@pytest.mark.parametrize("beta", [F(1, 5), F(1, 3), F(1, 2), F(2, 3)], ids=str)
+@pytest.mark.parametrize("gap", [False, True], ids=["decision", "gap"])
+def test_exact_infimum_full_round_witness_matches_first_optimal_path_oracle(beta, gap):
+    # small random graphs almost never reach the full round: their infimum
+    # is minmax_path's rho/beta. This unsatisfiable formula's lies above
+    # it, so the probe round fails, and the full round must return the
+    # first of 18 optimal paths in search order
+    g = sat_to_mcc(CnfFormula(1, ((1, 1, 1), (-1, -1, -1))), beta, gap=gap).graph
+    result = exact_infimum(g, beta)
+    assert result.value > minmax_path(g, beta)[1] / beta
+    assert (result.value, result.path) == first_optimal_path(g, beta)
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_exact_infimum_always_returns_a_scored_witness(seed):
     # the smallest budget stops only after a scored path, so a cut run
@@ -300,12 +331,14 @@ def test_exact_infimum_budget_flag():
     assert not full.exhausted
     with pytest.raises(ValueError):
         exact_infimum(g, F(1, 2), path_budget=0)
-    # here the budget runs out: the first path scored is not the optimum
-    g = gen_random(9, 0.6, F(1, 2), max_numerator=1, max_denominator=1, seed=3).graph
-    cut = exact_infimum(g, F(1, 2), path_budget=1)
+    # here the budget runs out: the formula is unsatisfiable, so the probe
+    # round scores nothing, and the full round's first path is not the optimum
+    beta = F(1, 5)
+    g = sat_to_mcc(CnfFormula(1, ((1, 1, 1), (-1, -1, -1))), beta).graph
+    cut = exact_infimum(g, beta, path_budget=1)
     assert cut.exhausted and cut.paths_evaluated == 1
-    assert cut.value == 2 and exact_infimum(g, F(1, 2)).value == 0
-    assert fence_required_reward(g, F(1, 2), cut.path) == cut.value
+    assert cut.value == 9 and exact_infimum(g, beta).value == F(657, 125)
+    assert fence_required_reward(g, beta, cut.path) == cut.value
 
 
 @pytest.mark.parametrize("seed", range(20))

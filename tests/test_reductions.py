@@ -113,6 +113,25 @@ def test_normalize_assignment_forms():
         normalize_assignment(1, "X")
 
 
+@pytest.mark.parametrize("tau, message", [
+    # a mapping: every key an int (not a bool), every value a bool
+    ({1: "false", 2: False}, "variable 1 has truth value 'false', not True or False"),
+    ({1: True, "2": False}, "variable '2' is not an integer (truth value False)"),
+    ({1: True, 2: 0}, "variable 2 has truth value 0, not True or False"),
+    ({True: True, 2: False}, "variable True is not an integer (truth value True)"),
+    ({1.0: True, 2: False}, "variable 1.0 is not an integer (truth value True)"),
+    # a sequence: every item a bool
+    ([1.5, "F"], "variable 1 has truth value 1.5, not True or False"),
+    ([True, "F"], "variable 2 has truth value 'F', not True or False"),
+    ((True, 1), "variable 2 has truth value 1, not True or False"),
+    ([None, True], "variable 1 has truth value None, not True or False"),
+])
+def test_normalize_assignment_refuses_what_it_would_coerce(tau, message):
+    with pytest.raises(IncompleteAssignmentError) as info:
+        normalize_assignment(2, tau)
+    assert str(info.value) == message
+
+
 # -- construction -------------------------------------------------------------
 
 
@@ -319,23 +338,30 @@ def test_sweep_decides_every_formula_as_brute_force_sat_does(beta, gap):
 
 
 @pytest.mark.parametrize("num_vars, num_clauses, seed, gap, work", [
-    (4, 8, 0, False, (10, 85)),
-    (4, 8, 2, True, (15, 111)),
-    (5, 12, 2, False, (13, 143)),
-    (5, 12, 7, True, (13, 140)),
-    (6, 16, 2, False, (13, 277)),
-    (6, 16, 6, True, (14, 441)),
-    (8, 24, 0, False, (26, 565)),
-    (8, 24, 7, True, (21, 630)),
-    (12, 50, 2, False, (32, 7680)),
+    (4, 8, 0, False, (1, 20)),
+    (4, 8, 2, True, (1, 23)),
+    (5, 12, 2, False, (1, 43)),
+    (5, 12, 7, True, (1, 39)),
+    (6, 16, 2, False, (1, 39)),
+    (6, 16, 6, True, (1, 35)),
+    (8, 24, 0, False, (1, 195)),
+    (8, 24, 7, True, (1, 86)),
+    (12, 50, 2, False, (1, 828)),
+    (4, 20, 0, False, (13, 330)),  # unsatisfiable: the probe fails, a full round follows
 ])
 def test_exact_search_work_is_pinned(num_vars, num_clauses, seed, gap, work):
-    # (paths_evaluated, expansions) as first recorded: a prefix bound left
-    # stale after a fence prunes less, and one left stale after an undo
-    # prunes too much, so either moves these counters
+    # (paths_evaluated, expansions) as recorded: a prefix bound left stale
+    # after a fence prunes less, and one left stale after an undo prunes too
+    # much, so either moves these counters. A satisfiable formula is solved
+    # by the probe round alone; on the unsatisfiable one the full round
+    # reuses the bounds the probe left behind, but not its dominance memo.
     formula = random_formula(seed, num_vars, num_clauses)
-    result = exact_infimum(sat_to_mcc(formula, BETA, gap=gap).graph, BETA)
-    assert (result.value, result.paths_evaluated, result.expansions) == (1 / BETA, *work)
+    meta = sat_to_mcc(formula, BETA, gap=gap)
+    value = 1 / BETA
+    if next(formula.satisfying_assignments(), None) is None:
+        value = (meta.gap_threshold if gap else value) + meta.epsilon * (1 + BETA) / BETA
+    result = exact_infimum(meta.graph, BETA)
+    assert (result.value, result.paths_evaluated, result.expansions) == (value, *work)
     assert not result.exhausted
 
 
