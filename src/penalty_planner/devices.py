@@ -305,10 +305,10 @@ def exact_infimum(graph: TaskGraph,
                     exhausted = True
                     break
                 evaluated += 1
-                if best is None or cand < best:
-                    best, best_path = cand, (v, *(f[0] for f in reversed(stack)))
-                    if best <= floor:
-                        break
+                # every path with cand >= best was pruned above: this one improves
+                best, best_path = cand, (v, *(f[0] for f in reversed(stack)))
+                if best <= floor:
+                    break
                 continue
             # fence v, then re-evaluate v and the ancestors whose out-neighbour distances
             # changed, in reverse topological order: in place, as a full sweep costs O(n+m).

@@ -181,7 +181,6 @@ class ReductionMeta:
     gap: bool
     reward: Fraction                # critical reward 1/beta
     gap_threshold: Fraction | None  # no-instances stay above this when gap
-    roles: Mapping[int, str]
     edge_kinds: Mapping[tuple[int, int], str]
     literal_nodes: Mapping[tuple[int, int], int]      # (clause, position) -> node
     variable_nodes: Mapping[tuple[int, bool], int]    # (variable, value) -> node
@@ -227,32 +226,30 @@ def sat_to_mcc(cnf: CnfFormula,
     num_vars = cnf.num_vars
 
     labels: list[str] = []
-    roles: dict[int, str] = {}
 
-    def add_node(label: str, role: str) -> int:
+    def add_node(label: str) -> int:
         labels.append(label)
-        roles[len(labels) - 1] = role
         return len(labels) - 1
 
-    s = add_node("s", "source")
+    s = add_node("s")
     literal_nodes: dict[tuple[int, int], int] = {}
     for i in range(1, num_clauses + 1):
         for j in range(1, 4):
-            literal_nodes[(i, j)] = add_node(f"v{i}_{j}", f"literal:{i},{j}")
-    u1 = add_node("u1", "u1")
-    u2 = add_node("u2", "u2")
+            literal_nodes[(i, j)] = add_node(f"v{i}_{j}")
+    u1 = add_node("u1")
+    u2 = add_node("u2")
     variable_nodes: dict[tuple[int, bool], int] = {}
     for k in range(1, num_vars + 1):
-        variable_nodes[(k, True)] = add_node(f"w{k}T", f"variable:{k},T")
-        variable_nodes[(k, False)] = add_node(f"w{k}F", f"variable:{k},F")
-    u3 = add_node("u3", "u3")
-    u4 = add_node("u4", "u4")
-    u5 = add_node("u5", "u5")
+        variable_nodes[(k, True)] = add_node(f"w{k}T")
+        variable_nodes[(k, False)] = add_node(f"w{k}F")
+    u3 = add_node("u3")
+    u4 = add_node("u4")
+    u5 = add_node("u5")
     intermediate_nodes: dict[tuple[int, bool], int] = {}
     for k in range(1, num_vars + 1):
-        intermediate_nodes[(k, True)] = add_node(f"z{k}T", f"intermediate:{k},T")
-        intermediate_nodes[(k, False)] = add_node(f"z{k}F", f"intermediate:{k},F")
-    t = add_node("t", "target")
+        intermediate_nodes[(k, True)] = add_node(f"z{k}T")
+        intermediate_nodes[(k, False)] = add_node(f"z{k}F")
+    t = add_node("t")
 
     edges: list[tuple[int, int, Fraction]] = []
     kinds: dict[tuple[int, int], str] = {}
@@ -300,7 +297,7 @@ def sat_to_mcc(cnf: CnfFormula,
     gap_threshold = (1 + b * x ** 4) / b if gap else None
     return ReductionMeta(graph=graph, formula=cnf, beta=b, epsilon=eps, gap=gap,
                          reward=reward, gap_threshold=gap_threshold,
-                         roles=roles, edge_kinds=kinds,
+                         edge_kinds=kinds,
                          literal_nodes=literal_nodes,
                          variable_nodes=variable_nodes,
                          intermediate_nodes=intermediate_nodes)
@@ -365,8 +362,6 @@ def meta_to_annotations(meta: ReductionMeta) -> dict:
             "epsilon": str(meta.epsilon),
             "gap": meta.gap,
         },
-        "node_roles": {str(node): role for node, role in sorted(meta.roles.items())},
-        "edge_kinds": [[u, v, kind] for (u, v), kind in sorted(meta.edge_kinds.items())],
     }
 
 
@@ -375,7 +370,9 @@ def meta_from_instance(instance: Instance) -> ReductionMeta:
 
     The reduction is reconstructed from the stored formula and parameters,
     read with `parse`'s type rules (a mistyped one is a SchemaError naming
-    it), then checked structurally against the file's graph.
+    it), then checked structurally against the file's graph. Other
+    annotation keys, such as the `node_roles` and `edge_kinds` that older
+    files carry, are ignored.
     """
     annotations = instance.annotations or {}
     red = annotations.get("reduction")

@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from penalty_planner import cli, parse
+from penalty_planner import cli, meta_from_instance, parse
 from penalty_planner.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -120,6 +123,41 @@ def test_assignment_round_trip_via_files(tmp_path, capsys):
     assert code == 0
     assert payload["payload"]["assignment"] == "TTT"
     assert payload["payload"]["satisfies_formula"] is True
+
+
+def _without_old_keys(document: str) -> dict:
+    data = json.loads(document)
+    for key in ("node_roles", "edge_kinds"):
+        data["annotations"].pop(key, None)
+    return data
+
+
+@pytest.mark.parametrize("tau", ["TTT", "TFT", "FFF"])
+def test_reduction_files_with_node_roles_and_edge_kinds_still_load(
+        tmp_path, capsys, monkeypatch, tau):
+    # three_vars_with_roles.json is what reduce3sat wrote for three_vars.cnf
+    # at beta 1/5 while its annotations still held node_roles and edge_kinds
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "reduce3sat", str(DATA / "three_vars.cnf"), "--beta", "1/5",
+        "-o", "new.json")
+    old_text = (DATA / "three_vars_with_roles.json").read_text()
+    (tmp_path / "old.json").write_text(old_text)
+    assert set(json.loads(old_text)["annotations"]) == {
+        "reduction", "node_roles", "edge_kinds"}
+    new_text = (tmp_path / "new.json").read_text()
+    assert set(json.loads(new_text)["annotations"]) == {"reduction"}
+    assert _without_old_keys(old_text) == json.loads(new_text)
+    assert meta_from_instance(parse(old_text)[0]) == meta_from_instance(parse(new_text)[0])
+    outputs = {}
+    for name in ("old", "new"):
+        code, made, _ = run_json(capsys, "assign2config", f"{name}.json",
+                                 "--tau", tau, "-o", f"{name}_cfg.json")
+        assert code == 0
+        code, read, _ = run_json(capsys, "config2assign", f"{name}_cfg.json")
+        read.pop("elapsed_seconds", None)
+        outputs[name] = (made["payload"], code, read,
+                         _without_old_keys((tmp_path / f"{name}_cfg.json").read_text()))
+    assert outputs["old"] == outputs["new"]
 
 
 def test_config2assign_no_walk_is_domain_error(tmp_path, capsys):
