@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterOutOfRangeError
-from .graph import RationalLike, TaskGraph, as_rational, check_bias, preprocess
+from .graph import RationalLike, TaskGraph, as_rational, check_bias
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,21 @@ def gen_random(n: int,
                seed: int = 0) -> Instance:
     """Seeded random DAG, preprocessed, with rational costs of bounded size.
 
-    Nodes get a random topological order 0..n-1 with source 0 and target
-    n-1; each forward pair becomes an edge with the given probability. If
-    the target ends up unreachable, missing chain edges (i, i+1) are added.
-    Costs are numerator/denominator uniform within the bounds. The PRNG is
-    Python's Mersenne Twister (`random.Random`) keyed by the 64-bit seed,
-    so instances are reproducible.
+    Node 0 is the source and node n-1 the target; node ids are not shuffled.
+    The PRNG is Python's Mersenne Twister (`random.Random`) keyed by the
+    64-bit seed, so instances are reproducible. The draw order: one
+    `random()` per forward pair (i, j), i < j, in row-major order, the pair
+    becoming an edge when it falls below the density; a kept edge's cost
+    p/q, p uniform in 0..max_numerator and q in 1..max_denominator, is drawn
+    right after its pair, p first, each as `randint` draws it. If the target
+    is then unreachable, the missing chain edges (i, i+1) are added, and
+    their costs drawn, last. The graph is restricted to nodes on some
+    source-to-target path, with ids re-densified (ascending old id).
     """
+    for name, value in (("n", n), ("max_numerator", max_numerator),
+                        ("max_denominator", max_denominator)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__} ({value!r})")
     if n < 2:
         raise ParameterOutOfRangeError("need at least two nodes")
     dens = _edge_density(density)
@@ -139,20 +147,55 @@ def gen_random(n: int,
         raise ParameterOutOfRangeError("cost bounds must be nonnegative/positive")
     b = check_bias(beta)
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+    draw, bits = rng.random, rng.getrandbits
+    # randint(lo, hi) is lo + r for the first r = getrandbits(k) below the
+    # width w = hi - lo + 1, where k = w.bit_length(); a width of 1 draws too
+    wp, wq = max_numerator + 1, max_denominator
+    kp, kq = wp.bit_length(), wq.bit_length()
+    costs: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct cost
 
     def rand_cost() -> Fraction:
-        return Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
+        p = bits(kp)
+        while p >= wp:
+            p = bits(kp)
+        q = bits(kq)
+        while q >= wq:
+            q = bits(kq)
+        key = (p, q + 1)
+        cost = costs.get(key)
+        if cost is None:
+            cost = costs[key] = Fraction(p, q + 1)
+        return cost
 
-    edges: list[tuple[int, int, RationalLike]] = []
+    edges: list[tuple[int, int, Fraction]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < dens:
+            if draw() < dens:
                 edges.append((i, j, rand_cost()))
 
-    labels = ["s"] + [f"n{i}" for i in range(1, n - 1)] + ["t"]
-    graph = TaskGraph(n, edges, source=0, target=n - 1, labels=labels)
-    # guarantee source-to-target connectivity via the chain spine
-    if n - 1 not in graph.reachable_from(0):
-        edges += [(i, i + 1, rand_cost()) for i in range(n - 1) if not graph.has_edge(i, i + 1)]
-        graph = TaskGraph(n, edges, source=0, target=n - 1, labels=labels)
-    return Instance(graph=preprocess(graph), beta=b, reward=None)
+    # tails ascend, so one forward pass settles what the source reaches
+    forward = [False] * n
+    forward[0] = True
+    for tail, head, _ in edges:
+        if forward[tail]:
+            forward[head] = True
+    if forward[n - 1]:
+        backward = [False] * n
+        backward[n - 1] = True
+        for tail, head, _ in reversed(edges):
+            if backward[head]:
+                backward[tail] = True
+        keep = [v for v in range(n) if forward[v] and backward[v]]
+    else:
+        # guarantee source-to-target connectivity via the chain spine, on
+        # which every node lies
+        chained = {tail for tail, head, _ in edges if head == tail + 1}
+        edges += [(i, i + 1, rand_cost()) for i in range(n - 1) if i not in chained]
+        keep = list(range(n))
+    if len(keep) < n:
+        remap = {old: new for new, old in enumerate(keep)}
+        edges = [(remap[tail], remap[head], cost) for tail, head, cost in edges
+                 if tail in remap and head in remap]
+    labels = ["s"] + [f"n{v}" for v in keep[1:-1]] + ["t"]
+    graph = TaskGraph(len(keep), edges, source=0, target=len(keep) - 1, labels=labels)
+    return Instance(graph=graph, beta=b, reward=None)

@@ -15,7 +15,16 @@ from penalty_planner import (
     CostConfiguration,
     TaskGraph,
     WalkReport,
+    check_bias,
     preprocess,
+)
+from penalty_planner.errors import ParameterOutOfRangeError
+from penalty_planner.graph import RationalLike
+from penalty_planner.instances import (
+    _LEAST_MAX_DENOMINATOR,
+    _LEAST_MAX_NUMERATOR,
+    Instance,
+    _edge_density,
 )
 
 
@@ -251,3 +260,41 @@ def random_connected_subset(graph: TaskGraph, rng: random.Random,
         if graph.target in seen:
             return kept
     return pairs
+
+
+def gen_random_reference(n: int,
+                         density: float | Fraction,
+                         beta: RationalLike = Fraction(1, 2),
+                         *,
+                         max_numerator: int = 8,
+                         max_denominator: int = 64,
+                         seed: int = 0) -> Instance:
+    """`gen_random` written plainly: `randint` for every integer, a new
+    Fraction per edge, and `preprocess` over the raw graph, which is built
+    again when the chain spine is added. `gen_random` must return the same
+    instance for every argument and seed.
+    """
+    if n < 2:
+        raise ParameterOutOfRangeError("need at least two nodes")
+    dens = _edge_density(density)
+    if max_numerator < _LEAST_MAX_NUMERATOR or max_denominator < _LEAST_MAX_DENOMINATOR:
+        raise ParameterOutOfRangeError("cost bounds must be nonnegative/positive")
+    b = check_bias(beta)
+    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+
+    def rand_cost() -> Fraction:
+        return Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
+
+    edges: list[tuple[int, int, RationalLike]] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < dens:
+                edges.append((i, j, rand_cost()))
+
+    labels = ["s"] + [f"n{i}" for i in range(1, n - 1)] + ["t"]
+    graph = TaskGraph(n, edges, source=0, target=n - 1, labels=labels)
+    # guarantee source-to-target connectivity via the chain spine
+    if n - 1 not in graph.reachable_from(0):
+        edges += [(i, i + 1, rand_cost()) for i in range(n - 1) if not graph.has_edge(i, i + 1)]
+        graph = TaskGraph(n, edges, source=0, target=n - 1, labels=labels)
+    return Instance(graph=preprocess(graph), beta=b, reward=None)

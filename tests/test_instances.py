@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from penalty_planner import (
     ParameterOutOfRangeError,
+    TaskGraph,
     build_view,
     gen_alice,
     gen_noopt,
@@ -14,6 +16,7 @@ from penalty_planner import (
     gen_ratio,
     is_motivating,
     preprocess,
+    serialize,
     validate,
 )
 
@@ -140,6 +143,66 @@ def test_random_parameter_domain():
         with pytest.raises(ParameterOutOfRangeError,
                            match="^cost bounds must be nonnegative/positive$"):
             gen_random(5, 0.5, **bounds)
+
+
+@pytest.mark.parametrize("name", ["n", "max_numerator", "max_denominator"])
+@pytest.mark.parametrize("value", [8.0, 64.0, True, "8"])
+def test_random_integer_arguments_must_be_ints(name, value):
+    args = {"n": 5, "max_numerator": 8, "max_denominator": 64, name: value}
+    n = args.pop("n")
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        gen_random(n, 0.5, **args)
+
+
+def _against_reference(monkeypatch, n, density, seed, **bounds) -> tuple[bool, bool]:
+    """Assert that gen_random and the reference serialize alike; return
+    whether the reference added the chain spine (it then builds its raw
+    graph twice) and whether preprocess dropped nodes."""
+    builds = []
+
+    class CountedGraph(TaskGraph):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            builds.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "TaskGraph", CountedGraph)
+    want = oracles.gen_random_reference(n, density, seed=seed, **bounds)
+    got = gen_random(n, density, seed=seed, **bounds)
+    assert serialize(got) == serialize(want), (n, density, seed, bounds)
+    return len(builds) == 2, want.graph.n < n
+
+
+_SEEDS = (0, 1, 5, 7, 2**64 + 5, -3)
+
+
+# max_numerator=0 and max_denominator=1 draw 1-bit integers, redrawn until 0
+@pytest.mark.parametrize("bounds", [{}, {"max_numerator": 0, "max_denominator": 1},
+                                    {"max_numerator": 1, "max_denominator": 1},
+                                    {"max_numerator": 100, "max_denominator": 7},
+                                    {"max_numerator": 3, "max_denominator": 2}])
+def test_random_matches_reference(monkeypatch, bounds):
+    for n in (2, 3, 5, 13, 40):
+        for density in (0.05, 0.3, 1.0):
+            for seed in _SEEDS:
+                _against_reference(monkeypatch, n, density, seed, **bounds)
+
+
+def test_random_reference_grid_covers_spine_and_pruning(monkeypatch):
+    for seed in (0, 1, 5, 7):
+        spine, _ = _against_reference(monkeypatch, 5, 0.05, seed)
+        assert spine
+    spine, pruned = _against_reference(monkeypatch, 300, 0.02, 5,
+                                       max_numerator=1, max_denominator=1)
+    assert pruned and not spine
+    assert gen_random(300, 0.02, max_numerator=1, max_denominator=1, seed=5).graph.n == 26
+    _against_reference(monkeypatch, 200, 0.05, 1)
+
+
+def test_random_shares_one_fraction_per_cost():
+    g = gen_random(200, 0.05, max_numerator=1, max_denominator=1, seed=1).graph
+    assert len({id(e.cost) for e in g.edges}) == 2 < len(g.edges)
 
 
 def test_named_generators_are_clean():
