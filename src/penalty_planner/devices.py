@@ -46,8 +46,12 @@ def check_path(graph: TaskGraph, path: Sequence[int]) -> tuple[int, ...]:
     """Validate a node sequence as a source-to-target path of the graph.
 
     The one-node path (source,) is valid exactly when the source is the target.
+    A node id that is not an int (a bool included) is a TypeError.
     """
-    nodes = tuple(int(v) for v in path)
+    nodes = tuple(path)
+    for v in nodes:
+        if type(v) is not int:  # int() would read 1.9, "1" and True as node 1
+            raise TypeError(f"node id must be an int, got {type(v).__name__} ({v!r})")
     if not nodes:
         raise InvalidPathError("a path needs at least one node")
     if nodes[0] != graph.source:
@@ -141,11 +145,11 @@ class InfimumResult:
     When the budget is hit, `exhausted` is set and the incumbent so far is
     returned. `expansions` counts the partial paths (suffixes ending at the
     target, the bare target included) that were fenced and had their
-    in-edges scanned; a suffix skipped as dominated is fenced but not
-    counted, and neither are the paths below it. Both counters sum the two
-    rounds, so a search that needs the full round counts the bare target
-    twice. On a one-node graph the bare target is the one path scored and
-    the one expansion.
+    in-edges scanned; a suffix the full round skips as dominated is fenced
+    but not counted, and neither are the paths below it (the probe round
+    skips nothing). Both counters sum the two rounds, so a search that needs
+    the full round counts the bare target twice. On a one-node graph the
+    bare target is the one path scored and the one expansion.
     """
 
     value: Fraction
@@ -170,18 +174,27 @@ def exact_infimum(graph: TaskGraph,
     suffix maximum, and the bottleneck over source-to-tail prefixes under
     the current suffix-fenced distances (extras only raise distances),
     re-swept only from the lowest topological position whose distance
-    changed since the last sweep. It also skips a suffix that a fully
-    searched one dominates: same head, same distances on the head's
-    frontier, and no smaller suffix maximum.
+    changed since the last sweep.
 
     The bottleneck at the target, before any fence, is `minmax_path`'s rho:
     a lower bound on every path's value. A probe round first runs the
     search under a virtual incumbent just above it, so it prunes only what
     lies above rho, and the first path it scores is optimal. If it scores
     none, every value is at least the least value it pruned; the full round
-    then searches as above, with a fresh dominance memo, and stops once its
-    incumbent reaches that floor. Neither stop changes the value or the
-    witness: of all optimal paths, the witness is the first in search order.
+    then searches again and stops once its incumbent reaches that floor.
+    Neither stop changes the value or the witness: of all optimal paths,
+    the witness is the first in search order.
+
+    The full round also skips a suffix that a fully searched one dominates:
+    same head, same distances on the head's frontier, and no smaller suffix
+    maximum. It builds the frontiers and its memo when it starts, so a
+    search that the probe settles builds neither. The probe keeps no memo:
+    a skip there would need an exact tie, a suffix whose fences leave the
+    frontier distances of an earlier one at the same head as they were, at
+    no larger maximum (say, through a node whose only out-edge is on the
+    path, so that its fence adds nothing). The probe expands such a suffix
+    instead, which can only add to the counters; it never changes the
+    value or the witness.
     """
     b = check_bias(beta)
     if path_budget < 1:
@@ -216,19 +229,8 @@ def exact_infimum(graph: TaskGraph,
     qcost = [q * c for c in cost]
     dist = distances(graph, cost)
     extra = [0] * len(graph.edges)
-    # below a head the search depends only on the suffix maximum and the
-    # distances on the head's frontier: the head and every node that one of
-    # its ancestors has an edge into (the ancestors' own distances follow)
-    anc, into = [0] * n, [0] * n  # bitsets of ancestors, of their out-neighbours
-    for u in topo:
-        outs = 0
-        for i in out_idx[u]:
-            outs |= 1 << heads[i]
-        up, reach = anc[u] | 1 << u, into[u] | outs
-        for i in out_idx[u]:
-            anc[heads[i]] |= up
-            into[heads[i]] |= reach
-    frontier: dict[int, itemgetter] = {}  # head -> its frontier distances
+    # the full round's dominance memo, set up when that round starts
+    frontier: list[itemgetter] | None = None  # head -> its frontier distances
     done: dict[tuple, int] = {}  # (head, frontier distances) -> least searched eta_max
     log: list[tuple[int, int]] = []  # (node, distance before an update)
     # prefix bottleneck per node, valid for the current dist at topological
@@ -261,8 +263,8 @@ def exact_infimum(graph: TaskGraph,
     while True:
         # frame: head, next in-edge, suffix maximum, log length on entry, the
         # prefix bounds of the in-edges' tails (computed once an incumbent
-        # exists), and the head's dominance key; the heads, top first, are
-        # the current suffix
+        # exists), and the head's dominance key (full round only); the heads,
+        # top first, are the current suffix
         stack: list[list] = [[target, 0, 0, 0, None, None]]
         expansions += 1
         while stack:
@@ -277,7 +279,7 @@ def exact_infimum(graph: TaskGraph,
                     dist[u] = old
                     fresh = min(fresh, pos[u] - 1)
                 del log[mark:]
-                if key is not None:
+                if key:
                     done[key] = eta_max
                 continue
             frame[1] = k + 1
@@ -286,19 +288,16 @@ def exact_infimum(graph: TaskGraph,
             eta_on = qcost[eidx] + p * dist[head]
             cand = eta_on if eta_on > eta_max else eta_max
             if best is not None:
-                if cand >= best:
-                    if pruned is None or cand < pruned:
-                        pruned = cand
-                    continue
-                if bounds is None:
+                if cand < best and bounds is None:
                     # prefixes end before the head in topological order, so
                     # they avoid the suffix; every edge into u shares dist[u]
                     top = max(pos[tails[i]] for i in ins)
                     sweep(top)
                     bounds = frame[4] = [bneck[tails[i]] for i in ins]
-                if bounds[k] >= best:
-                    if pruned is None or bounds[k] < pruned:
-                        pruned = bounds[k]
+                low = cand if cand >= best else bounds[k]  # suffix bound, then prefix bound
+                if low >= best:
+                    if pruned is None or low < pruned:
+                        pruned = low
                     continue
             if v == source:
                 if evaluated >= path_budget:
@@ -331,28 +330,36 @@ def exact_infimum(graph: TaskGraph,
                         if t not in queued and cost[i] + extra[i] + old == dist[t]:
                             queued.add(t)
                             heappush(heap, -pos[t])
-            if v not in frontier:
-                bits, nodes = into[v] & ~anc[v], []
-                while bits:
-                    nodes.append(bits.bit_length() - 1)
-                    bits ^= 1 << nodes[-1]
-                frontier[v] = itemgetter(*nodes)  # v itself is among them
-            key = (v, frontier[v](dist))
+            key = (v, frontier[v](dist)) if frontier else None
             # a searched suffix with the same key and no larger maximum found
             # every completion's value or pruned it: nothing here improves
             # strictly. Such a suffix enters with its in-edges used up, so the
             # next step unfences it without recording it.
-            if done.get(key, cand + 1) <= cand:
+            if key and done.get(key, cand + 1) <= cand:
                 stack.append([v, len(in_idx[v]), cand, mark, None, None])
                 continue
             stack.append([v, 0, cand, mark, None, key])
             expansions += 1
         if best_path:  # a round scored a path: it is the answer
             break
-        # the probe scored nothing and has undone its fences; its memo
-        # entries hold only under its virtual incumbent
-        best, floor = None, pruned
-        done.clear()
+        # the probe scored nothing and has undone its fences. Below a head the
+        # search depends only on the suffix maximum and the distances on the
+        # head's frontier: the head and every node that one of its ancestors
+        # has an edge into (the ancestors' own distances follow)
+        best, floor, frontier = None, pruned, [None] * n
+        anc, into = [0] * n, [0] * n  # bitsets of ancestors, of their out-neighbours
+        for u in topo:  # an ancestor comes first, so anc[u] and into[u] are complete
+            bits, nodes, outs = (into[u] & ~anc[u]) | 1 << u, [], 0
+            while bits:
+                nodes.append(bits.bit_length() - 1)
+                bits ^= 1 << nodes[-1]
+            frontier[u] = itemgetter(*nodes)  # u is among them, the source too
+            for i in out_idx[u]:
+                outs |= 1 << heads[i]
+            up, reach = anc[u] | 1 << u, into[u] | outs
+            for i in out_idx[u]:
+                anc[heads[i]] |= up
+                into[heads[i]] |= reach
 
     return InfimumResult(value=Fraction(best, unit * p), path=best_path,
                          exhausted=exhausted, paths_evaluated=evaluated,

@@ -244,8 +244,9 @@ class CostConfiguration:
     """Nonnegative extra cost per edge; edges absent from the map pay zero.
 
     Zero entries are dropped on construction, so configurations with the
-    same semantics compare equal. Given a graph, every key, zero entries
-    included, must be one of its edges.
+    same semantics compare equal. A key is a (tail, head) pair of int node
+    ids (any other id, a bool included, is a TypeError). Given a graph,
+    every key, zero entries included, must be one of its edges.
     """
 
     __slots__ = ("_extra",)
@@ -255,6 +256,8 @@ class CostConfiguration:
         store: dict[tuple[int, int], Fraction] = {}
         if extra:
             for (tail, head), value in extra.items():
+                if type(tail) is not int or type(head) is not int:  # not coerced, see above
+                    raise TypeError(f"node ids must be ints, got ({tail!r}, {head!r})")
                 x = as_rational(value)  # its denominator is positive: test the numerator
                 if x.numerator < 0:
                     raise ValueError(f"extra cost on ({tail}, {head}) is negative: {x}")
@@ -262,7 +265,7 @@ class CostConfiguration:
                     raise UnknownEdgeError(
                         f"configuration references missing edge ({tail}, {head})")
                 if x.numerator:
-                    store[(int(tail), int(head))] = x
+                    store[(tail, head)] = x
         self._extra = store
 
     @property

@@ -1,6 +1,7 @@
 """Commitment devices: fences, exact search, approximation, subgraph tools."""
 
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -92,6 +93,17 @@ def test_ids_outside_the_graph_are_named_by_their_number(bad):
         g.cost(1, bad)
     with pytest.raises(UnknownEdgeError, match=rf"^kept edge \({bad}, 1\) is not in the graph$"):
         emulate_subgraph(g, [(bad, 1)], 6)
+
+
+@pytest.mark.parametrize("bad", [1.9, "1", True], ids=repr)
+def test_node_ids_must_be_ints(bad):
+    # int() would read each as node 1: 1.9 truncated, "1" parsed, True an int
+    g = gen_alice(3).graph
+    message = rf"^node id must be an int, got {type(bad).__name__} \({re.escape(repr(bad))}\)$"
+    with pytest.raises(TypeError, match=message):
+        check_path(g, [0, bad, 2, 3])
+    with pytest.raises(TypeError, match=message):
+        path_and_fence(g, F(1, 3), [0, bad, 2, 3], 1)
 
 
 def test_one_node_instance_fences_its_own_witness():
@@ -306,6 +318,49 @@ def test_exact_infimum_full_round_witness_matches_first_optimal_path_oracle(beta
     result = exact_infimum(g, beta)
     assert result.value > minmax_path(g, beta)[1] / beta
     assert (result.value, result.path) == first_optimal_path(g, beta)
+
+
+def test_exact_infimum_probe_keeps_no_dominance_memo():
+    # node 3's only out-edge is on the path, so its fence adds nothing, and
+    # edges (1, 3) and (1, 4) have the same perceived cost: the suffix
+    # (1, 3, 4) has the dominance key of (1, 4), searched before it, and no
+    # larger maximum. Only the full round keeps a memo; the probe, which
+    # settles this graph, expands (1, 3, 4) instead of skipping it (node 5,
+    # a clone of node 3, is not needed for that: without it, the same holds)
+    g = TaskGraph(6, [(0, 1, 1), (1, 2, 0), (1, 3, 1), (1, 4, 1), (1, 5, 1),
+                      (2, 3, 0), (2, 5, 0), (3, 4, 0), (5, 4, 0)], 0, 4)
+    result = exact_infimum(g, F(1, 5))
+    assert (result.value, result.path) == (5, (0, 1, 2, 3, 4))
+    assert (result.paths_evaluated, result.expansions) == (1, 6)
+    assert not result.exhausted
+
+
+def clone_nodes(graph, nodes):
+    """The graph plus one new node per given node, with copies of its in-
+    and out-edges and their costs: every path through a clone ties exactly
+    with the path through the original."""
+    edges = [(e.tail, e.head, e.cost) for e in graph.edges]
+    for new, v in enumerate(nodes, graph.n):
+        edges += [(e.tail, new, e.cost) for e in graph.in_edges(v)]
+        edges += [(new, e.head, e.cost) for e in graph.out_edges(v)]
+    return TaskGraph(graph.n + len(nodes), edges, graph.source, graph.target)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_exact_infimum_with_cloned_nodes_matches_first_optimal_path_oracle(seed):
+    # symmetric ties: one or two interior nodes cloned, so that paths
+    # through a clone tie exactly with paths through the original, on
+    # {0, 1} costs or on p/q costs with p <= 3 and q <= 2
+    rng = random.Random(seed)
+    beta = [F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)][seed % 5]
+    bounds = (1, 1) if seed % 2 else (3, 2)
+    g = gen_random(4 + seed % 6, [0.4, 0.55][seed // 6 % 2], beta, seed=6100 + seed,
+                   max_numerator=bounds[0], max_denominator=bounds[1]).graph
+    interior = [v for v in range(g.n) if v not in (g.source, g.target)]
+    g = clone_nodes(g, rng.sample(interior, min(1 + seed // 5 % 2, len(interior))))
+    result = exact_infimum(g, beta)
+    assert (result.value, result.path) == first_optimal_path(g, beta)
+    assert not result.exhausted
 
 
 @pytest.mark.parametrize("seed", range(200))

@@ -391,6 +391,19 @@ def test_configuration_normalizes_zero_entries():
         CostConfiguration({(0, 1): -1})
 
 
+@pytest.mark.parametrize("bad", [1.9, "1", True], ids=repr)
+def test_configuration_node_ids_must_be_ints(bad):
+    # int() would read each as node 1: 1.9 truncated, "1" parsed, True an int.
+    # Ids are checked before the graph, and with True both keys name edges
+    g = gen_alice(3).graph
+    for key in ((bad, 3), (0, bad)):
+        message = rf"^node ids must be ints, got \({key[0]!r}, {key[1]!r}\)$"
+        with pytest.raises(TypeError, match=message):
+            CostConfiguration({key: 1})
+        with pytest.raises(TypeError, match=message):
+            CostConfiguration({key: 1}, g)
+
+
 def test_reprs_and_comparison_with_other_types():
     g = TaskGraph(2, [(0, 1, 1)], 0, 1, ["s", None])
     assert repr(g) == "TaskGraph(n=2, edges=1, source=s, target=1)"
