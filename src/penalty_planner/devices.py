@@ -35,6 +35,7 @@ from .graph import (
     check_bias,
     choice,
     distances,
+    node_id_error,
     scaled_costs,
 )
 
@@ -50,8 +51,8 @@ def check_path(graph: TaskGraph, path: Sequence[int]) -> tuple[int, ...]:
     """
     nodes = tuple(path)
     for v in nodes:
-        if type(v) is not int:  # int() would read 1.9, "1" and True as node 1
-            raise TypeError(f"node id must be an int, got {type(v).__name__} ({v!r})")
+        if type(v) is not int:
+            raise node_id_error(v)
     if not nodes:
         raise InvalidPathError("a path needs at least one node")
     if nodes[0] != graph.source:

@@ -66,6 +66,12 @@ def check_bias(beta: RationalLike, *, strict: bool = False) -> Fraction:
     return b
 
 
+def node_id_error(v: object) -> TypeError:
+    """The error for a node id that is not an int: ids are never coerced,
+    since int() would read 1.9, "1" and True as node 1."""
+    return TypeError(f"node id must be an int, got {type(v).__name__} ({v!r})")
+
+
 @dataclass(frozen=True, slots=True)
 class Edge:
     tail: int
@@ -83,10 +89,10 @@ class TaskGraph:
     """Directed task graph with dense integer node ids and optional labels.
 
     Construction is permissive so that `validate` can report problems
-    (cycles, negative costs, parallel edges) as data; only node ids out of
-    range and duplicate labels are rejected outright. All planning
-    operations assume a graph for which `validate` returns no violations
-    and which has been through `preprocess`.
+    (cycles, negative costs, parallel edges) as data; only node ids that are
+    not ints (a bool included) or out of range, and duplicate labels, are
+    rejected outright. All planning operations assume a graph for which
+    `validate` returns no violations and which has been through `preprocess`.
     """
 
     __slots__ = ("n", "labels", "edges", "source", "target",
@@ -102,6 +108,8 @@ class TaskGraph:
     ):
         if n <= 0:
             raise ValueError("graph needs at least one node")
+        if type(source) is not int or type(target) is not int:
+            raise node_id_error(target if type(source) is int else source)
         if not 0 <= source < n or not 0 <= target < n:
             raise ValueError("source/target id out of range")
         self.n = n
@@ -113,6 +121,8 @@ class TaskGraph:
             self.labels = tuple(labels)
         built = []
         for tail, head, cost in edges:
+            if type(tail) is not int or type(head) is not int:
+                raise node_id_error(head if type(tail) is int else tail)
             if not 0 <= tail < n or not 0 <= head < n:
                 raise ValueError(f"edge ({tail}, {head}) references unknown node")
             built.append(Edge(tail, head, as_rational(cost)))

@@ -204,6 +204,10 @@ def sat_to_mcc(cnf: CnfFormula,
     (1 + beta*(1-beta)^4)/beta. When `epsilon` is omitted, half the
     applicable strict bound is used.
 
+    Forward edges join every node of a layer to every node of the next, along
+    s, the clause rows, u1 and along u2, the variable rows, u3. The edge
+    order is fixed, since downstream tie-breaks go by edge index.
+
     Measured, not proven, at the default epsilon: the exact infimum is
     1/beta for a satisfiable formula and threshold + epsilon*(1+beta)/beta
     for an unsatisfiable one (threshold 1/beta, or `gap_threshold`), as
@@ -232,16 +236,11 @@ def sat_to_mcc(cnf: CnfFormula,
         return len(labels) - 1
 
     s = add_node("s")
-    literal_nodes: dict[tuple[int, int], int] = {}
-    for i in range(1, num_clauses + 1):
-        for j in range(1, 4):
-            literal_nodes[(i, j)] = add_node(f"v{i}_{j}")
+    clause_rows = [[add_node(f"v{i}_{j}") for j in range(1, 4)]
+                   for i in range(1, num_clauses + 1)]
     u1 = add_node("u1")
     u2 = add_node("u2")
-    variable_nodes: dict[tuple[int, bool], int] = {}
-    for k in range(1, num_vars + 1):
-        variable_nodes[(k, True)] = add_node(f"w{k}T")
-        variable_nodes[(k, False)] = add_node(f"w{k}F")
+    variable_rows = [[add_node(f"w{k}T"), add_node(f"w{k}F")] for k in range(1, num_vars + 1)]
     u3 = add_node("u3")
     u4 = add_node("u4")
     u5 = add_node("u5")
@@ -250,6 +249,10 @@ def sat_to_mcc(cnf: CnfFormula,
         intermediate_nodes[(k, True)] = add_node(f"z{k}T")
         intermediate_nodes[(k, False)] = add_node(f"z{k}F")
     t = add_node("t")
+    literal_nodes = {(i, j): v for i, row in enumerate(clause_rows, start=1)
+                     for j, v in enumerate(row, start=1)}
+    variable_nodes = {(k, val): v for k, row in enumerate(variable_rows, start=1)
+                      for val, v in zip((True, False), row)}
 
     edges: list[tuple[int, int, Fraction]] = []
     kinds: dict[tuple[int, int], str] = {}
@@ -258,24 +261,15 @@ def sat_to_mcc(cnf: CnfFormula,
         edges.append((tail, head, cost))
         kinds[(tail, head)] = kind
 
-    for j in range(1, 4):
-        add_edge(s, literal_nodes[(1, j)], fwd, "forward")
-    for i in range(1, num_clauses):
-        for j in range(1, 4):
-            for j2 in range(1, 4):
-                add_edge(literal_nodes[(i, j)], literal_nodes[(i + 1, j2)], fwd, "forward")
-    for j in range(1, 4):
-        add_edge(literal_nodes[(num_clauses, j)], u1, fwd, "forward")
+    def join(*layers: list[int]) -> None:
+        for layer, next_layer in zip(layers, layers[1:]):
+            for tail in layer:
+                for head in next_layer:
+                    add_edge(tail, head, fwd, "forward")
+
+    join([s], *clause_rows, [u1])
     add_edge(u1, u2, sc1, "spine")
-    for val in (True, False):
-        add_edge(u2, variable_nodes[(1, val)], fwd, "forward")
-    for k in range(1, num_vars):
-        for val in (True, False):
-            for val2 in (True, False):
-                add_edge(variable_nodes[(k, val)], variable_nodes[(k + 1, val2)],
-                         fwd, "forward")
-    for val in (True, False):
-        add_edge(variable_nodes[(num_vars, val)], u3, fwd, "forward")
+    join([u2], *variable_rows, [u3])
     add_edge(u3, u4, sc1, "spine")
     add_edge(u4, u5, x, "spine")
     add_edge(u5, t, Fraction(1), "spine")
@@ -329,23 +323,19 @@ def config_to_assignment(meta: ReductionMeta,
     """Read a truth assignment off the agent's walk under the given scheme.
 
     Simulates at the extraction reward; raises NoWalkError if the agent can
-    abandon. Otherwise follows one tie walk and records which variable node
-    of each pair it visits. Whenever the scheme is motivating at that
-    reward, the returned assignment satisfies the formula.
+    abandon. Otherwise reads tau[k] from whichever variable node of pair k
+    lies on the tie walk that takes the lowest head id (the walk crosses
+    each variable row at most once); a variable it never settles is a
+    NoWalkError. Whenever the scheme is motivating at that reward, the
+    returned assignment satisfies the formula.
     """
     report = is_motivating(meta.graph, config, meta.beta, meta.extraction_reward,
                            walk_cap=1)
     if report.abandon_nodes:
         names = ", ".join(meta.graph.describe_node(v) for v in sorted(report.abandon_nodes))
         raise NoWalkError(f"agent can abandon at: {names}")
-    walk = report.walks[0]  # the tie walk that takes the lowest head id
-    node_to_var: dict[int, tuple[int, bool]] = {
-        node: key for key, node in meta.variable_nodes.items()}
-    tau: dict[int, bool] = {}
-    for node in walk:
-        if node in node_to_var:
-            k, value = node_to_var[node]
-            tau[k] = value
+    walk = set(report.walks[0])
+    tau = {k: value for (k, value), node in meta.variable_nodes.items() if node in walk}
     if len(tau) != meta.formula.num_vars:
         missing = [k for k in range(1, meta.formula.num_vars + 1) if k not in tau]
         raise NoWalkError(f"walk never settled variables {missing}")

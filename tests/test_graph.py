@@ -1,6 +1,7 @@
 """Graph core: validation, preprocessing, exact distances, perceived costs."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import lcm
 
@@ -375,6 +376,19 @@ def test_labels_must_be_strings(label):
         TaskGraph(2, [(0, 1, 1)], 0, 1, [label, None])
     with pytest.raises(ValueError, match="not a string"):
         TaskGraph(2, [(0, 1, 1)], 0, 1, ["a", label])
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "1"], ids=repr)
+@pytest.mark.parametrize("position", ["source", "target", "tail", "head"])
+def test_graph_node_ids_must_be_ints(position, bad):
+    # the range check alone would store True as node 1 and fail on 2.0 or "1"
+    # with a message that does not name the id
+    ids = {"source": 0, "target": 2, "tail": 1, "head": 2}
+    ids[position] = bad
+    edges = [(0, 1, 1), (ids["tail"], ids["head"], 1)]
+    message = rf"^node id must be an int, got {type(bad).__name__} \({re.escape(repr(bad))}\)$"
+    with pytest.raises(TypeError, match=message):
+        TaskGraph(3, edges, ids["source"], ids["target"])
 
 
 def test_configuration_normalizes_zero_entries():

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ from penalty_planner import (
     validate,
 )
 
+DATA = Path(__file__).parent / "data"
 SAMPLE = CnfFormula(3, ((-1, 2, 3), (1, -2, -3), (1, -2, 3)))
 BETA = F(1, 5)
 
@@ -206,6 +208,53 @@ def test_shortcut1_targets_encode_literal_signs():
     assert (meta.literal_nodes[(1, 1)], meta.variable_nodes[(1, True)]) in meta.edge_kinds
     # second literal x2 (positive): shortcut points at w2F
     assert (meta.literal_nodes[(1, 2)], meta.variable_nodes[(2, False)]) in meta.edge_kinds
+
+
+# tests/data/three_vars.cnf at beta = 1/5: every edge of sat_to_mcc's graph in
+# insertion order as (tail, head, cost, kind); FWD is the variant's forward cost.
+# Edge indices break ties downstream (minmax_path sorts ties by index), so this
+# order is part of the construction.
+FWD = object()
+THREE_VARS_EDGES = [
+    # s -> clause row 1 -> clause row 2 -> u1
+    (0, 1, FWD, "forward"), (0, 2, FWD, "forward"), (0, 3, FWD, "forward"),
+    (1, 4, FWD, "forward"), (1, 5, FWD, "forward"), (1, 6, FWD, "forward"),
+    (2, 4, FWD, "forward"), (2, 5, FWD, "forward"), (2, 6, FWD, "forward"),
+    (3, 4, FWD, "forward"), (3, 5, FWD, "forward"), (3, 6, FWD, "forward"),
+    (4, 7, FWD, "forward"), (5, 7, FWD, "forward"), (6, 7, FWD, "forward"),
+    (7, 8, F(16, 25), "spine"),
+    # u2 -> w1T/w1F -> w2T/w2F -> w3T/w3F -> u3
+    (8, 9, FWD, "forward"), (8, 10, FWD, "forward"),
+    (9, 11, FWD, "forward"), (9, 12, FWD, "forward"),
+    (10, 11, FWD, "forward"), (10, 12, FWD, "forward"),
+    (11, 13, FWD, "forward"), (11, 14, FWD, "forward"),
+    (12, 13, FWD, "forward"), (12, 14, FWD, "forward"),
+    (13, 15, FWD, "forward"), (14, 15, FWD, "forward"),
+    (15, 16, F(16, 25), "spine"), (16, 17, F(4, 5), "spine"), (17, 24, F(1), "spine"),
+    (1, 10, F(16, 25), "shortcut1"), (2, 11, F(16, 25), "shortcut1"),
+    (3, 14, F(16, 25), "shortcut1"), (4, 9, F(16, 25), "shortcut1"),
+    (5, 12, F(16, 25), "shortcut1"), (6, 13, F(16, 25), "shortcut1"),
+    (8, 24, F(9, 5), "shortcut2"),
+    (9, 18, F(0), "shortcut3-first"), (18, 24, F(9, 5), "shortcut3-second"),
+    (10, 19, F(0), "shortcut3-first"), (19, 24, F(9, 5), "shortcut3-second"),
+    (11, 20, F(0), "shortcut3-first"), (20, 24, F(9, 5), "shortcut3-second"),
+    (12, 21, F(0), "shortcut3-first"), (21, 24, F(9, 5), "shortcut3-second"),
+    (13, 22, F(0), "shortcut3-first"), (22, 24, F(9, 5), "shortcut3-second"),
+    (14, 23, F(0), "shortcut3-first"), (23, 24, F(9, 5), "shortcut3-second"),
+]
+
+
+@pytest.mark.parametrize("gap, forward_cost", [(False, F(176, 375)), (True, F(944, 1875))],
+                         ids=["decision", "gap"])
+def test_edge_order_is_pinned(gap, forward_cost):
+    cnf = parse_dimacs((DATA / "three_vars.cnf").read_text())
+    meta = sat_to_mcc(cnf, BETA, gap=gap)
+    expected = [(tail, head, forward_cost if cost is FWD else cost, kind)
+                for tail, head, cost, kind in THREE_VARS_EDGES]
+    assert [(e.tail, e.head, e.cost) for e in meta.graph.edges] == \
+        [(tail, head, cost) for tail, head, cost, _ in expected]
+    assert list(meta.edge_kinds.items()) == \
+        [((tail, head), kind) for tail, head, _, kind in expected]
 
 
 def test_gap_threshold_value_and_identity():
